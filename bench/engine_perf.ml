@@ -24,10 +24,11 @@
    free-running twice and deterministic-merge once; all three must agree
    on events / final_cycles / cross_posts / windows (and those counters
    must match shards=1), which is what CI gates — wall-clock speedup is
-   reported with ".wall" keys the perf gate skips.  Set
-   ENGINE_PERF_MIN_SPEEDUP4 to enforce a floor on the 4-shard speedup
-   (only meaningful on a machine with >= 4 cores; skipped with a warning
-   otherwise).
+   reported with ".wall" keys the perf gate skips, together with each
+   shard's split of its run-phase wall time into barrier wait and busy
+   time.  Set ENGINE_PERF_MIN_SPEEDUP4 to enforce a floor on the
+   4-shard speedup (only meaningful on a machine with >= 4 cores;
+   skipped with a warning otherwise).
 
    Throughput denominators count the run phase only: single-engine
    workloads time Engine.run / Microbench.run (not stack construction),
@@ -36,20 +37,35 @@
    builders, and join/teardown.  Wall-clock uses Unix.gettimeofday —
    CPU time would make parallel speedup invisible by construction. *)
 
-let iters =
-  match Sys.getenv_opt "ENGINE_PERF_ITERS" with
-  | Some s -> ( match int_of_string_opt s with Some n -> max 1 n | None -> 1_000_000)
-  | None -> 1_000_000
+(* Knobs.  A malformed value stops the run instead of quietly turning
+   into a default. *)
+let knob name parse ~what =
+  Option.map
+    (fun s ->
+      match parse (String.trim s) with
+      | Some v -> v
+      | None ->
+          Printf.eprintf "engine_perf: %s=%S is not %s\n%!" name s what;
+          exit 2)
+    (Sys.getenv_opt name)
 
-let pdes_ops =
-  match Sys.getenv_opt "ENGINE_PERF_PDES_OPS" with
-  | Some s -> ( match int_of_string_opt s with Some n -> max 1 n | None -> 1500)
-  | None -> 1500
+let int_knob name ~default =
+  let positive s =
+    match int_of_string_opt s with Some n when n >= 1 -> Some n | _ -> None
+  in
+  Option.value ~default (knob name positive ~what:"a positive integer")
 
-let sharded_ops =
-  match Sys.getenv_opt "ENGINE_PERF_SHARDED_OPS" with
-  | Some s -> ( match int_of_string_opt s with Some n -> max 1 n | None -> 400)
-  | None -> 400
+let iters = int_knob "ENGINE_PERF_ITERS" ~default:1_000_000
+let pdes_ops = int_knob "ENGINE_PERF_PDES_OPS" ~default:1500
+let sharded_ops = int_knob "ENGINE_PERF_SHARDED_OPS" ~default:400
+
+(* floor on the 4-shard speedup of both cluster workloads, enforced
+   where the runner has the cores to express it *)
+let min_speedup4 =
+  knob "ENGINE_PERF_MIN_SPEEDUP4" ~what:"a positive number" (fun s ->
+      match float_of_string_opt s with
+      | Some f when Float.is_finite f && f > 0. -> Some f
+      | _ -> None)
 
 let wall f =
   let t0 = Unix.gettimeofday () in
@@ -179,10 +195,24 @@ let pdes_measure p ~shards =
   let best = if free2.run_wall_s < free1.run_wall_s then free2 else free1 in
   { st = best; eps = float_of_int best.events /. best.run_wall_s }
 
+let secs_array a =
+  String.concat ", " (Array.to_list (Array.map (Printf.sprintf "%.4f") a))
+
+(* where each shard's run-phase wall time went: the window barrier vs
+   delivering posts and running events *)
+let split_report (st : Sim.Shard.stats) =
+  Printf.printf "    per shard: barrier wait [%s] s, busy [%s] s\n%!"
+    (secs_array st.Sim.Shard.wait_s) (secs_array st.Sim.Shard.busy_s)
+
+let split_json (st : Sim.Shard.stats) =
+  Printf.sprintf "\"wait_s.wall\": [%s], \"busy_s.wall\": [%s]"
+    (secs_array st.Sim.Shard.wait_s) (secs_array st.Sim.Shard.busy_s)
+
 let pdes_report n m =
   Printf.printf
     "pdes %d shard(s)          %9d events  end %12Ld cy  %5d windows  %6d cross  %7.2f Mev/s\n%!"
-    n m.st.events m.st.final_cycles m.st.windows m.st.cross_posts (meps m.eps)
+    n m.st.events m.st.final_cycles m.st.windows m.st.cross_posts (meps m.eps);
+  split_report m.st
 
 let int_array a =
   String.concat ", " (Array.to_list (Array.map string_of_int a))
@@ -191,9 +221,10 @@ let pdes_json n m =
   Printf.sprintf
     "  \"shards%d\": {\"events\": %d, \"final_cycles\": %Ld, \"cross_posts\": \
      %d, \"windows\": %d, \"shard_events\": [%s], \"shard_drains\": [%s], \
-     \"events_per_sec.wall\": %.0f}"
+     \"events_per_sec.wall\": %.0f, %s}"
     n m.st.events m.st.final_cycles m.st.cross_posts m.st.windows
     (int_array m.st.shard_events) (int_array m.st.shard_drains) m.eps
+    (split_json m.st)
 
 (* ---- sharded experiment curve (Experiments.Sharded, fig5 shape) ----
 
@@ -247,20 +278,21 @@ let sharded_report n m =
   Printf.printf
     "sharded %d shard(s)       %9d events  end %12Ld cy  %5d windows  %6d cross  %7.2f Mev/s\n%!"
     n m.sst.Sim.Shard.events m.sst.Sim.Shard.final_cycles
-    m.sst.Sim.Shard.windows m.sst.Sim.Shard.cross_posts (meps m.seps)
+    m.sst.Sim.Shard.windows m.sst.Sim.Shard.cross_posts (meps m.seps);
+  split_report m.sst
 
 let sharded_json n m =
   Printf.sprintf
     "  \"sharded%d\": {\"events\": %d, \"final_cycles\": %Ld, \"cross_posts\": \
      %d, \"windows\": %d, \"hits\": %d, \"misses\": %d, \"shard_events\": \
-     [%s], \"shard_drains\": [%s], \"events_per_sec.wall\": %.0f}"
+     [%s], \"shard_drains\": [%s], \"events_per_sec.wall\": %.0f, %s}"
     n m.sst.Sim.Shard.events m.sst.Sim.Shard.final_cycles
     m.sst.Sim.Shard.cross_posts m.sst.Sim.Shard.windows
     m.shub.Experiments.Shard_stack.counters.Mcache.Partition.fault_hits
     m.shub.Experiments.Shard_stack.counters.Mcache.Partition.misses
     (int_array m.sst.Sim.Shard.shard_events)
     (int_array m.sst.Sim.Shard.shard_drains)
-    m.seps
+    m.seps (split_json m.sst)
 
 let () =
   Printf.printf "=== engine_perf: DES hot-path throughput (iters=%d) ===\n%!" iters;
@@ -330,12 +362,9 @@ let () =
     e4 /. e1
   in
   Printf.printf "sharded speedup at 4 shards: %.2fx\n%!" sharded_speedup4;
-  (* >= 3x floor on 4-shard free-running, enforced per workload where
-     the hardware can express it *)
-  (match Sys.getenv_opt "ENGINE_PERF_MIN_SPEEDUP4" with
+  (match min_speedup4 with
   | None -> ()
-  | Some s ->
-      let floor = try float_of_string s with _ -> 3.0 in
+  | Some floor ->
       let cores = Domain.recommended_domain_count () in
       if cores < 4 then
         Printf.printf

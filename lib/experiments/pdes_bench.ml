@@ -48,7 +48,7 @@ let default =
 
 (* Epoch-coalesced posted-IPI delivery latency, cycles.  >= the
    model floor (Hw.Costs.min_cross_shard_latency = 798); wide enough
-   that a window amortizes its two barriers over hundreds of events. *)
+   that a window amortizes its barrier over hundreds of events. *)
 let default_lookahead = 20_000L
 
 let build p sh =

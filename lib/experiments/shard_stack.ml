@@ -31,8 +31,8 @@
    Mutation discipline (what makes this safe across domains with no
    locks): each [home] record is written only by its owning shard after
    the build barrier; requester-side counters are per-core single-writer
-   arrays; closures cross domains only through the inbox mutex, whose
-   lock/unlock pair publishes them. *)
+   arrays; closures cross domains only through [Sim.Shard]'s outboxes,
+   which the window barrier's atomic arrival counter publishes. *)
 
 module Pagekey = Mcache.Pagekey
 

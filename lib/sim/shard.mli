@@ -3,27 +3,43 @@
 
     A cluster partitions a simulation into [shards], each a complete
     single-queue {!Engine} owned by one domain.  Execution proceeds in
-    windows: the cluster agrees on the global minimum next-event time
-    [T] at a barrier, then every shard runs its local events in
-    [T, T + lookahead) concurrently, with no synchronization inside the
-    window.  [lookahead] is the Chandy–Misra–Bryant conservative
-    promise: {!post} refuses cross-shard events timestamped earlier
-    than [now + lookahead], so nothing a peer does mid-window can land
-    inside the window.  Derive it from the cost model —
+    windows: every shard runs its local events in [[T, T + lookahead)]
+    concurrently, with no synchronization inside the window, then
+    crosses one barrier, and the next window starts at the global
+    minimum next-event time.  [lookahead] is the Chandy–Misra–Bryant
+    conservative promise: {!post} refuses cross-shard events timestamped
+    earlier than [now + lookahead], so nothing a peer does mid-window
+    can land inside the window.  Derive it from the cost model —
     [Hw.Costs.min_cross_shard_latency] (posted-IPI send + receive, 798
     cycles) is the universal floor; workloads whose only cross-shard
     traffic is coarser (device completions, epoch-batched IPIs) should
     declare their larger true latency, which directly widens the window
     and cuts barrier overhead.
 
-    Cross-shard posts carry a deterministic merge key
-    [(time, source shard, source ordinal)] and inboxes deliver in key
-    order, so the virtual-time schedule — event order, counters, final
-    clock — is a pure function of the build, independent of domain
-    scheduling.  [deterministic] mode replays the identical window
-    algorithm on one domain (shards in ascending id order) and must
-    produce identical terminal state to the free-running mode; the test
-    suite holds both modes to that contract.
+    One barrier per window.  At the end of its run phase a shard
+    publishes its engine's next-event time and the earliest timestamp
+    it posted in the window; the next window starts at the minimum over
+    both, which is what the engines would report once those posts were
+    delivered.  Cross-shard posts go into lock-free single-writer
+    outboxes, one per (source, target) pair, double-buffered by window
+    parity so a shard can fill the next window's outboxes while its
+    peers still drain this one's.  A post made in window W is delivered
+    at the top of window W+1 in merge-key order
+    [(time, source shard, source ordinal)], so the virtual-time
+    schedule — event order, counters, final clock — is a pure function
+    of the build, independent of domain scheduling.
+
+    Waiters at the barrier spin ([Domain.cpu_relax]) only when the
+    shards fit the cores ([shards <= Domain.recommended_domain_count ()]),
+    then park.  Each shard's spin budget adapts — doubled after a wait
+    spinning covered, halved after one that parked — so spinning pays
+    off when peers run in parallel and backs off when they are
+    descheduled (another process on the same cores).
+
+    [deterministic] mode runs the identical window step on one domain
+    (shards in ascending id order) and must produce identical terminal
+    state to the free-running mode; the test suite holds both modes to
+    that contract.
 
     This module parallelizes {e one} simulation; [Experiments.Fanout]'s
     [--jobs] parallelizes {e across} independent experiments.  See
@@ -38,22 +54,29 @@ type stats = {
   lookahead : int;  (** window width, cycles *)
   events : int;  (** total engine events across all shards *)
   final_cycles : int64;  (** max terminal virtual time across shards *)
-  cross_posts : int;  (** cross-shard events delivered via inboxes *)
-  windows : int;  (** barrier rounds with work *)
+  cross_posts : int;  (** cross-shard events sent through outboxes *)
+  windows : int;  (** windows with work *)
   run_wall_s : float;
       (** wall-clock seconds of the windowed run only — stamped between
-          the post-build barrier and the final barrier, excluding
-          [Domain.spawn], builder time, and join/teardown, so events/sec
-          derived from it measures the engine *)
+          the post-build barrier and the end of the last window,
+          excluding [Domain.spawn], builder time, and join/teardown, so
+          events/sec derived from it measures the engine *)
   shard_events : int array;
       (** engine events executed per shard — the load-balance picture;
           sums to [events] *)
   shard_drains : int array;
-      (** cross-shard inbox items delivered to each shard; sums to
+      (** cross-shard outbox items delivered to each shard; sums to
           [cross_posts] once the cluster drains *)
+  wait_s : float array;
+      (** per shard, wall-clock seconds spent spinning or parked at the
+          window barrier; all zero in deterministic mode *)
+  busy_s : float array;
+      (** per shard, wall-clock seconds spent delivering posts and
+          running windows *)
 }
-(** Terminal cluster statistics.  Every field except [run_wall_s] is a
-    deterministic pure function of the build at any shard count. *)
+(** Terminal cluster statistics.  Every field except [run_wall_s],
+    [wait_s] and [busy_s] (same clock) is a deterministic pure function
+    of the build at any shard count. *)
 
 val run :
   ?deterministic:bool ->
@@ -75,9 +98,10 @@ val run :
     this shard owns (route statically: e.g. core [c] belongs to shard
     [c mod shards sh]).
 
-    A fiber exception inside one shard marks that shard failed, lets
-    the rest of the cluster drain (the barrier protocol stays honoured,
-    no deadlock), and re-raises after all domains join.
+    An exception from a shard's builder or one of its fibers marks that
+    shard failed, lets the rest of the cluster drain (the failed shard
+    keeps crossing the barrier with nothing to run, so nobody
+    deadlocks), and re-raises after all domains join.
     Raises [Invalid_argument] for [shards < 1] or [lookahead < 1]. *)
 
 val post : t -> to_:int -> at:int64 -> (t -> unit) -> unit

@@ -529,6 +529,131 @@ let shard_post_enforces_lookahead () =
     (Invalid_argument "Shard.run: shards must be >= 1") (fun () ->
       ignore (Sim.Shard.run ~shards:0 ~lookahead:1L (fun _ -> ())))
 
+let shard_window_schedule_pinned () =
+  (* The QCheck above only proves the modes agree with each other, so a
+     change of delivery point that moved both together would pass it.
+     The values were recorded before windows went to one barrier, and
+     no change to the window protocol may move them. *)
+  List.iter
+    (fun (shards, cross, drains) ->
+      List.iter
+        (fun deterministic ->
+          let s = mini_cluster ~deterministic ~shards in
+          let what =
+            Printf.sprintf "shards=%d %s" shards
+              (if deterministic then "det" else "free")
+          in
+          checki (what ^ " events") 258 s.Sim.Shard.events;
+          check64 (what ^ " final_cycles") 3788L s.Sim.Shard.final_cycles;
+          checki (what ^ " windows") 4 s.Sim.Shard.windows;
+          checki (what ^ " cross_posts") cross s.Sim.Shard.cross_posts;
+          Alcotest.(check (array int))
+            (what ^ " shard_drains") drains s.Sim.Shard.shard_drains;
+          checki (what ^ " wait_s per shard") shards
+            (Array.length s.Sim.Shard.wait_s);
+          if deterministic then
+            Alcotest.(check bool)
+              (what ^ " no barrier wait") true
+              (Array.for_all (fun w -> w = 0.) s.Sim.Shard.wait_s))
+        [ true; false ])
+    [ (1, 0, [| 0 |]); (2, 36, [| 18; 18 |]); (3, 36, [| 12; 12; 12 |]) ]
+
+exception Boom of int
+
+(* Run [f] on its own domain; a run still going after [limit] seconds
+   fails the test instead of hanging the suite. *)
+let within ~limit f =
+  let finished = Atomic.make false in
+  let d =
+    Domain.spawn (fun () ->
+        Fun.protect ~finally:(fun () -> Atomic.set finished true) f)
+  in
+  let t0 = Unix.gettimeofday () in
+  while not (Atomic.get finished) do
+    if Unix.gettimeofday () -. t0 > limit then
+      Alcotest.failf "Shard.run still running after %.0f s" limit;
+    Unix.sleepf 0.005
+  done;
+  Domain.join d
+
+(* Every shard's fiber runs [ops] rounds of work, each ending in a ring
+   post to the next shard; [fail] makes one builder or one fiber raise
+   [Boom sid].  Returns the exception [Shard.run] raised and the rounds
+   each shard completed. *)
+let failing_cluster ~deterministic ~shards ~fail =
+  let ops = 40 and la = 500L in
+  let rounds = Array.init shards (fun _ -> Atomic.make 0) in
+  let build sh =
+    let sid = Sim.Shard.sid sh and eng = Sim.Shard.engine sh in
+    let next = (sid + 1) mod shards in
+    (match fail with
+    | `Build b when b = sid ->
+        (* a failed builder's posts take the dead-shard path too *)
+        Sim.Shard.post sh ~to_:next ~at:la (fun _ -> ());
+        raise (Boom sid)
+    | _ -> ());
+    ignore
+      (Sim.Engine.spawn eng ~core:sid (fun () ->
+           for op = 1 to ops do
+             Sim.Engine.delay 100L;
+             (match fail with
+             | `Fiber (b, at_op) when b = sid && op = at_op -> raise (Boom sid)
+             | _ -> ());
+             Sim.Shard.post sh ~to_:next
+               ~at:(Int64.add (Sim.Engine.now_f ()) la)
+               (fun peer ->
+                 ignore
+                   (Sim.Engine.spawn (Sim.Shard.engine peer) (fun () ->
+                        Sim.Engine.delay 10L)));
+             Atomic.incr rounds.(sid)
+           done))
+  in
+  let raised =
+    within ~limit:60. (fun () ->
+        match Sim.Shard.run ~deterministic ~shards ~lookahead:la build with
+        | _ -> None
+        | exception Boom s -> Some s)
+  in
+  (raised, Array.map Atomic.get rounds, ops)
+
+let shard_failure_reraised_after_join () =
+  (* A failed shard must keep crossing the barrier as a drained shard:
+     its peers run to completion, every domain joins, then [Shard.run]
+     re-raises the failure. *)
+  List.iter
+    (fun (shards, deterministic, fail) ->
+      let bad, bad_rounds, where =
+        match fail with
+        | `Fiber (b, at_op) -> (b, at_op - 1, "fiber")
+        | `Build b -> (b, 0, "builder")
+      in
+      let what =
+        Printf.sprintf "shards=%d %s %s on shard %d" shards
+          (if deterministic then "det" else "free")
+          where bad
+      in
+      let raised, rounds, ops = failing_cluster ~deterministic ~shards ~fail in
+      Alcotest.(check (option int)) (what ^ ": re-raised") (Some bad) raised;
+      Array.iteri
+        (fun sid r ->
+          checki
+            (Printf.sprintf "%s: shard %d rounds" what sid)
+            (if sid = bad then bad_rounds else ops)
+            r)
+        rounds)
+    (List.concat_map
+       (fun shards ->
+         List.concat_map
+           (fun deterministic ->
+             List.map
+               (fun fail -> (shards, deterministic, fail))
+               [ `Fiber (1, 20); `Build 0; `Build (shards - 1) ])
+           [ false; true ])
+       [ 2; 3 ]);
+  (* and the next cluster is unaffected *)
+  checki "healthy run after failures" 258
+    (mini_cluster ~deterministic:false ~shards:3).Sim.Shard.events
+
 let sink_captures_and_restores () =
   let (), captured =
     Sim.Sink.capture (fun () ->
@@ -736,6 +861,10 @@ let () =
           QCheck_alcotest.to_alcotest shard_cluster_modes_agree;
           Alcotest.test_case "lookahead enforced" `Quick
             shard_post_enforces_lookahead;
+          Alcotest.test_case "window schedule pinned" `Quick
+            shard_window_schedule_pinned;
+          Alcotest.test_case "failure re-raised after join" `Quick
+            shard_failure_reraised_after_join;
         ] );
       ( "sync",
         [
