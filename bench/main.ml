@@ -6,7 +6,52 @@
    out over N OCaml domains; per-job seeds and domain-local ambient state
    keep every result — and the output bytes — identical to a sequential
    run.  The Bechamel wall-clock microbenchmarks stay sequential so their
-   timings are not perturbed by sibling domains. *)
+   timings are not perturbed by sibling domains.  The 's'-suffixed
+   shard-partitioned experiments run as a one-shard cluster here;
+   [aquila_cli run --shards N] sizes their cluster.
+
+   Every flag is "--flag V" or "--flag=V".  A malformed value exits 2
+   with a message naming the flag and the value. *)
+
+(* A malformed knob exits 2; it never runs with a default in its place. *)
+let die what msg =
+  Printf.eprintf "bench: %s: %s\n%!" what msg;
+  exit 2
+
+(* The last "FLAG V" or "FLAG=V" among the spellings [names], with the
+   spelling that matched. *)
+let flag_value names =
+  let argv = Sys.argv in
+  let n = Array.length argv in
+  let found = ref None in
+  for i = 1 to n - 1 do
+    let s = argv.(i) in
+    List.iter
+      (fun flag ->
+        let pre = flag ^ "=" in
+        if s = flag then
+          if i + 1 < n then found := Some (flag, argv.(i + 1))
+          else die flag "missing value"
+        else if String.starts_with ~prefix:pre s then
+          let pl = String.length pre in
+          found := Some (flag, String.sub s pl (String.length s - pl)))
+      names
+  done;
+  !found
+
+let int_at_least lo what s =
+  match int_of_string_opt s with
+  | Some n when n >= lo -> n
+  | _ -> die what (Printf.sprintf "expected an integer >= %d, got %S" lo s)
+
+(* --jobs N, -j N (or BENCH_JOBS=N; the flag wins) *)
+let jobs_of_argv () =
+  let env =
+    Option.map (int_at_least 1 "BENCH_JOBS") (Sys.getenv_opt "BENCH_JOBS")
+  in
+  match flag_value [ "--jobs"; "-j" ] with
+  | Some (flag, s) -> int_at_least 1 flag s
+  | None -> Option.value env ~default:1
 
 (* Same flag names and spec syntax as bin/aquila_cli.exe: --fault-plan
    SPEC injects seeded device faults into every experiment, ablation and
@@ -15,143 +60,49 @@
    composes with --jobs and the output stays byte-identical at any
    fan-out degree. *)
 let fault_of_argv () =
-  let plan = ref None and crash_at = ref None in
-  let argv = Sys.argv in
-  let value_of i flag =
-    let fl = String.length flag in
-    let s = argv.(i) in
-    if s = flag && i + 1 < Array.length argv then Some argv.(i + 1)
-    else if
-      String.length s > fl + 1
-      && String.sub s 0 (fl + 1) = flag ^ "="
-    then Some (String.sub s (fl + 1) (String.length s - fl - 1))
-    else None
+  let plan = Option.map snd (flag_value [ "--fault-plan" ]) in
+  let crash_at =
+    Option.map
+      (fun (flag, s) -> int_at_least 0 flag s)
+      (flag_value [ "--crash-at" ])
   in
-  for i = 1 to Array.length argv - 1 do
-    (match value_of i "--fault-plan" with
-    | Some s -> plan := Some s
-    | None -> ());
-    match value_of i "--crash-at" with
-    | Some s -> crash_at := int_of_string_opt s
-    | None -> ()
-  done;
   let base =
-    match !plan with
+    match plan with
     | None -> Fault.Plan.default
     | Some s -> (
         match Fault.Plan.parse s with
         | Ok spec -> spec
-        | Error msg ->
-            Printf.eprintf "bench: --fault-plan: %s\n%!" msg;
-            exit 2)
+        | Error msg -> die "--fault-plan" msg)
   in
-  match !crash_at with
+  match crash_at with
   | Some at -> Some { base with Fault.Plan.crash_at = Some at }
-  | None -> if !plan = None then None else Some base
+  | None -> if plan = None then None else Some base
 
 (* --policy NAME sets the ambient cache-replacement policy every Aquila
    stack picks up (ablations that pin their own policy still win). *)
 let policy_of_argv () =
-  let argv = Sys.argv in
-  let policy = ref None in
-  let value_of i flag =
-    let fl = String.length flag in
-    let s = argv.(i) in
-    if s = flag && i + 1 < Array.length argv then Some argv.(i + 1)
-    else if String.length s > fl + 1 && String.sub s 0 (fl + 1) = flag ^ "="
-    then Some (String.sub s (fl + 1) (String.length s - fl - 1))
-    else None
-  in
-  for i = 1 to Array.length argv - 1 do
-    match value_of i "--policy" with
-    | Some s -> (
-        match Mcache.Policy.kind_of_string s with
-        | Ok k -> policy := Some k
-        | Error msg ->
-            Printf.eprintf "bench: --policy: %s\n%!" msg;
-            exit 2)
-    | None -> ()
-  done;
-  !policy
+  Option.map
+    (fun (flag, s) ->
+      match Mcache.Policy.kind_of_string s with
+      | Ok k -> k
+      | Error msg -> die flag msg)
+    (flag_value [ "--policy" ])
 
 (* --metrics-out FILE writes the merged aqmetrics snapshot of the whole
    harness run (same format rules as aquila_cli: .prom/.txt is
    Prometheus exposition, anything else flat JSON). *)
-let metrics_out_of_argv () =
-  let argv = Sys.argv in
-  let out = ref None in
-  let value_of i flag =
-    let fl = String.length flag in
-    let s = argv.(i) in
-    if s = flag && i + 1 < Array.length argv then Some argv.(i + 1)
-    else if String.length s > fl + 1 && String.sub s 0 (fl + 1) = flag ^ "="
-    then Some (String.sub s (fl + 1) (String.length s - fl - 1))
-    else None
-  in
-  for i = 1 to Array.length argv - 1 do
-    match value_of i "--metrics-out" with
-    | Some s -> out := Some s
-    | None -> ()
-  done;
-  !out
-
-let jobs_of_argv () =
-  let jobs = ref 1 in
-  (match Sys.getenv_opt "BENCH_JOBS" with
-  | Some s -> ( match int_of_string_opt s with Some n -> jobs := n | None -> ())
-  | None -> ());
-  let argv = Sys.argv in
-  for i = 1 to Array.length argv - 1 do
-    match argv.(i) with
-    | "--jobs" | "-j" when i + 1 < Array.length argv -> (
-        match int_of_string_opt argv.(i + 1) with
-        | Some n -> jobs := n
-        | None -> ())
-    | s when String.length s > 7 && String.sub s 0 7 = "--jobs=" -> (
-        match int_of_string_opt (String.sub s 7 (String.length s - 7)) with
-        | Some n -> jobs := n
-        | None -> ())
-    | _ -> ()
-  done;
-  max 1 !jobs
-
-(* --shards N splits every engine's event queue into N statically-routed
-   shard queues (Sim.Engine ?shards); orthogonal to --jobs, which fans
-   whole experiments out across domains. *)
-let shards_of_argv () =
-  let shards = ref 1 in
-  (match Sys.getenv_opt "BENCH_SHARDS" with
-  | Some s -> (
-      match int_of_string_opt s with Some n -> shards := n | None -> ())
-  | None -> ());
-  let argv = Sys.argv in
-  for i = 1 to Array.length argv - 1 do
-    match argv.(i) with
-    | "--shards" when i + 1 < Array.length argv -> (
-        match int_of_string_opt argv.(i + 1) with
-        | Some n -> shards := n
-        | None -> ())
-    | s when String.length s > 9 && String.sub s 0 9 = "--shards=" -> (
-        match int_of_string_opt (String.sub s 9 (String.length s - 9)) with
-        | Some n -> shards := n
-        | None -> ())
-    | _ -> ()
-  done;
-  max 1 !shards
+let metrics_out_of_argv () = Option.map snd (flag_value [ "--metrics-out" ])
 
 let () =
   let jobs = jobs_of_argv () in
-  let shards = shards_of_argv () in
-  Sim.Engine.set_default_shards shards;
   let fault = fault_of_argv () in
+  let metrics_out = metrics_out_of_argv () in
   (match policy_of_argv () with
   | Some k -> Experiments.Scenario.set_policy k
   | None -> ());
   Printf.printf "=== Aquila (EuroSys '21) reproduction benchmark harness ===\n";
   Printf.printf "%s\n" Experiments.Scenario.scale_note;
   if jobs > 1 then Printf.printf "(fan-out: up to %d parallel domains)\n" jobs;
-  if shards > 1 then
-    Printf.printf "(engine sharding: %d event-queue shards per engine)\n" shards;
   (match Experiments.Scenario.policy () with
   | Mcache.Policy.Clock -> ()
   | k ->
@@ -161,7 +112,7 @@ let () =
   | Some spec ->
       Printf.printf "(fault injection: %s)\n" (Fault.Plan.to_string spec)
   | None -> ());
-  Experiments.Scenario.with_metrics ?out:(metrics_out_of_argv ()) (fun () ->
+  Experiments.Scenario.with_metrics ?out:metrics_out (fun () ->
       Experiments.Registry.run_all ~jobs ?fault ();
       Printf.printf "\n### Ablations (DESIGN.md section 5)\n%!";
       Experiments.Fanout.run ~jobs ?fault Ablations.jobs;

@@ -111,26 +111,25 @@ let shards_arg =
     value
     & opt int 1
     & info [ "shards" ] ~docv:"N"
-        ~doc:"Partition every engine's event queue into $(docv) shards \
-              (static routing by fiber core, drained in global (time, seq) \
-              order — the deterministic merge, DESIGN.md section 9).  \
-              Output is byte-identical at any shard count.  Contrast with \
-              $(b,--jobs), which fans out across independent experiments; \
-              $(b,--shards) restructures the event queue inside each one.")
+        ~doc:"Run the 's'-suffixed shard-partitioned experiments (fig5s, \
+              fig10s, crashs) as a cluster of $(docv) shards, each with \
+              its own engine, free-running one OCaml domain per shard \
+              (DESIGN.md section 9).  Their terminal stats are \
+              byte-identical at any shard count; only the '#'-prefixed \
+              balance lines vary.  Every other experiment runs one engine \
+              and ignores the flag.  Contrast with $(b,--jobs), which \
+              fans out across independent experiments.")
 
 let deterministic_arg =
   Arg.(
     value
     & flag
     & info [ "deterministic" ]
-        ~doc:"Run cluster workloads (the 's'-suffixed shard-partitioned \
-              experiments) in deterministic merge mode — one domain \
-              replaying the shards in global (time, seq) order — instead \
-              of free-running across OCaml domains.  Terminal stats are \
-              byte-identical either way (the CI parity gates compare \
-              them); single-engine workloads already merge \
-              deterministically, so there the flag just asserts the \
-              contract.")
+        ~doc:"Run the 's'-suffixed shard-partitioned experiments in \
+              deterministic mode — one domain replaying the $(b,--shards) \
+              shards window by window — instead of free-running across \
+              OCaml domains.  Terminal stats are byte-identical either way \
+              (the CI parity gates compare them).")
 
 let run_cmd =
   let doc = "Run one experiment (or 'all')." in
@@ -149,7 +148,6 @@ let run_cmd =
     | Ok _, _ when shards < 1 -> `Error (true, "--shards must be >= 1")
     | Ok entries, Ok fault ->
         Experiments.Scenario.set_policy policy;
-        Sim.Engine.set_default_shards shards;
         Experiments.Sharded.set_mode ~shards ~deterministic;
         (* The ambient tracer is domain-local: worker domains would record
            nothing, so tracing forces a sequential run. *)
@@ -287,16 +285,13 @@ let faultcheck_cmd =
                 msync disabled): the sweep is expected to report \
                 violations, proving the checker has teeth.")
   in
-  let run seeds points mode broken shards _deterministic plan crash_at policy
-      metrics_out =
+  let run seeds points mode broken plan crash_at policy metrics_out =
     if seeds < 1 || points < 1 then
       `Error (true, "--seeds and --points must be >= 1")
-    else if shards < 1 then `Error (true, "--shards must be >= 1")
     else
       match fault_spec_of plan crash_at with
       | Error msg -> `Error (true, "--fault-plan: " ^ msg)
       | Ok fault ->
-          Sim.Engine.set_default_shards shards;
           let spec = Option.value fault ~default:Fault.Plan.default in
           let seeds = List.init seeds (fun i -> i + 1) in
           let reports =
@@ -334,9 +329,8 @@ let faultcheck_cmd =
     (Cmd.info "faultcheck" ~doc ~man)
     Term.(
       ret
-        (const run $ seeds $ points $ mode $ broken $ shards_arg
-       $ deterministic_arg $ fault_plan_arg $ crash_at_arg $ policy_arg
-       $ metrics_out_arg))
+        (const run $ seeds $ points $ mode $ broken $ fault_plan_arg
+       $ crash_at_arg $ policy_arg $ metrics_out_arg))
 
 let clustercheck_cmd =
   let doc = "Cluster failover sweep: crash nodes, verify no acked write lost." in
@@ -462,9 +456,9 @@ let loadtest_cmd =
          SLO-violation and load-shedding counts; arrivals beyond the \
          bounded admission queue are shed, as are arrivals while the DRAM \
          cache is in degraded mode.  One fan-out job per (backend, rate) \
-         point: output is byte-identical at any $(b,--jobs) or \
-         $(b,--shards) degree (CI cmp-gates both; lines starting with '#' \
-         are excluded from the comparison).";
+         point: output is byte-identical at any $(b,--jobs) degree (CI \
+         cmp-gates it; lines starting with '#' are excluded from the \
+         comparison).";
     ]
   in
   let backend_conv =
@@ -544,14 +538,13 @@ let loadtest_cmd =
       & info [ "seed" ] ~docv:"N"
           ~doc:"Seed for the arrival stream and request contents.")
   in
-  let run backends rates process horizon workers queue_cap slo seed jobs
-      shards deterministic plan crash_at policy metrics_out =
+  let run backends rates process horizon workers queue_cap slo seed jobs plan
+      crash_at policy metrics_out =
     match (Loadgen.Arrival.shape_of_string process, fault_spec_of plan crash_at)
     with
     | Error msg, _ -> `Error (true, "--process: " ^ msg)
     | _, Error msg -> `Error (true, "--fault-plan: " ^ msg)
     | Ok _, _ when jobs < 1 -> `Error (true, "--jobs must be >= 1")
-    | Ok _, _ when shards < 1 -> `Error (true, "--shards must be >= 1")
     | Ok _, _ when horizon <= 0 -> `Error (true, "--horizon must be > 0")
     | Ok _, _ when workers < 1 -> `Error (true, "--workers must be >= 1")
     | Ok _, _ when queue_cap < 1 -> `Error (true, "--queue-cap must be >= 1")
@@ -561,13 +554,8 @@ let loadtest_cmd =
         `Error (true, "--rates must be positive")
     | Ok shape, Ok fault ->
         Experiments.Scenario.set_policy policy;
-        Sim.Engine.set_default_shards shards;
-        (* loadtest runs single-engine workloads: --shards restructures
-           each engine's queue under the deterministic merge, and
-           --deterministic just asserts that contract, so both are
-           reported on a '#' line the parity gate filters out *)
-        Printf.printf "# loadtest jobs=%d shards=%d%s\n%!" jobs shards
-          (if deterministic then " deterministic" else "");
+        (* --jobs is echoed on a '#' line the parity gate filters out *)
+        Printf.printf "# loadtest jobs=%d\n%!" jobs;
         let params =
           {
             Experiments.Openloop.shape;
@@ -587,8 +575,8 @@ let loadtest_cmd =
     Term.(
       ret
         (const run $ backends $ rates $ process $ horizon $ workers
-       $ queue_cap $ slo $ seed $ jobs_arg $ shards_arg $ deterministic_arg
-       $ fault_plan_arg $ crash_at_arg $ policy_arg $ metrics_out_arg))
+       $ queue_cap $ slo $ seed $ jobs_arg $ fault_plan_arg $ crash_at_arg
+       $ policy_arg $ metrics_out_arg))
 
 let report_cmd =
   let doc = "Run an experiment and print its metrics breakdown." in
@@ -663,7 +651,6 @@ let report_cmd =
         `Error (true, "--sample-period and --timeseries-period must be > 0")
     | Ok entries, Ok fault ->
         Experiments.Scenario.set_policy policy;
-        Sim.Engine.set_default_shards shards;
         Experiments.Sharded.set_mode ~shards ~deterministic;
         let profiling = profile <> None || timeseries <> None in
         (* The profiler is domain-local, like the tracer. *)

@@ -5,7 +5,7 @@
 
    Topology: node i's handler fibers run on core i; the external client
    runs on core N.  Everything shares one deterministic engine, so the
-   whole cluster is byte-identical across --shards and repeat runs, and
+   whole cluster is byte-identical across --jobs and repeat runs, and
    an aqfault crash ordinal lands on exactly the same operation every
    time. *)
 
@@ -342,7 +342,7 @@ let crash_node t i ~ordinal =
     ignore
       (Sim.Engine.spawn t.eng ~name:"failover-resync" ~core:t.client_core
          (fun () -> ignore (resync t)));
-    Sim.Engine.post t.eng ~core:i
+    Sim.Engine.post t.eng
       ~at:(Int64.add (Sim.Engine.now t.eng) (Int64.of_int t.cfg.recovery_delay))
       (fun () ->
         ignore

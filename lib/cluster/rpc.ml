@@ -86,7 +86,6 @@ let retries t = t.n_retries
 let alive t i = i < 0 || t.alive i
 
 let call t ~src ~dst req =
-  let ccore = (Sim.Engine.self ()).Sim.Engine.core in
   let result = ref None in
   let fired = ref false in
   Sim.Engine.suspend (fun resume ->
@@ -100,8 +99,7 @@ let call t ~src ~dst req =
         end
       in
       let now = Int64.to_int (Sim.Engine.now t.eng) in
-      Sim.Engine.post t.eng ~core:ccore
-        ~at:(Int64.of_int (now + t.cfg.timeout))
+      Sim.Engine.post t.eng ~at:(Int64.of_int (now + t.cfg.timeout))
         (fun () ->
           if not !fired then begin
             t.n_timeouts <- t.n_timeouts + 1;
@@ -109,8 +107,7 @@ let call t ~src ~dst req =
           end;
           finish None);
       if alive t src then
-        Sim.Engine.post t.eng ~core:dst
-          ~at:(Int64.of_int (now + t.cfg.wire_latency))
+        Sim.Engine.post t.eng ~at:(Int64.of_int (now + t.cfg.wire_latency))
           (fun () ->
             if alive t dst then
               match t.handlers.(dst) with
@@ -129,7 +126,7 @@ let call t ~src ~dst req =
                                let rnow =
                                  Int64.to_int (Sim.Engine.now t.eng)
                                in
-                               Sim.Engine.post t.eng ~core:ccore
+                               Sim.Engine.post t.eng
                                  ~at:
                                    (Int64.of_int
                                       (rnow + t.cfg.wire_latency))

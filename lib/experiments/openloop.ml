@@ -59,7 +59,7 @@ let cl_cfg =
 
 (* Per-request content (page or key slot, read vs write), precomputed as
    a pure function of (seed, n, space) so every worker-count and
-   shard-count run serves identical requests. *)
+   [--jobs] run serves identical requests. *)
 let request_plan ~seed ~n ~space =
   let rng = Sim.Rng.create (seed lxor 0x5bd1e995) in
   let slot = Array.make n 0 and wr = Array.make n false in

@@ -7,7 +7,7 @@
     replicated aqcluster kvstore — and sweeps offered load to produce
     the hockey-stick p99-sojourn-vs-rate curve per backend.  Everything
     is a pure function of the parameters: reports are byte-identical at
-    any [--jobs] / [--shards] degree (CI cmp-gates both). *)
+    any [--jobs] degree (CI cmp-gates it). *)
 
 type kind = Linux | Aquila | Cluster
 

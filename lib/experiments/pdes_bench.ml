@@ -52,13 +52,13 @@ let default =
 let default_lookahead = 20_000L
 
 let build p sh =
-  let nshards = Sim.Shard.shards sh in
+  let shards = Sim.Shard.shards sh in
   let sid = Sim.Shard.sid sh in
   let la = Sim.Shard.lookahead sh in
   let eng = Sim.Shard.engine sh in
   let recv_cost = Hw.Costs.default.ipi_receive in
   for core = 0 to p.cores - 1 do
-    if core mod nshards = sid then begin
+    if core mod shards = sid then begin
       let stack = Scenario.make_aquila ~frames:p.frames ~dev:Scenario.Pmem () in
       let sys = Microbench.Aq stack in
       let rng = Sim.Rng.create (p.seed + (core * 6151)) in
@@ -81,7 +81,7 @@ let build p sh =
                if p.ipi_every > 0 && op mod p.ipi_every = 0 then begin
                  let target = (core + 1) mod p.cores in
                  let at = Int64.add (Sim.Engine.now_f ()) la in
-                 Sim.Shard.post sh ~to_:(target mod nshards) ~at (fun peer ->
+                 Sim.Shard.post sh ~to_:(target mod shards) ~at (fun peer ->
                      ignore
                        (Sim.Engine.spawn (Sim.Shard.engine peer)
                           ~name:"pdes-ipi" ~core:target (fun () ->

@@ -129,13 +129,13 @@ let make_arena p blobs ~home =
 let key page = Mcache.Pagekey.make ~file:0 ~page
 
 let build p hub blobs sh =
-  let nshards = Sim.Shard.shards sh in
+  let shards = Sim.Shard.shards sh in
   let sid = Sim.Shard.sid sh in
   let eng = Sim.Shard.engine sh in
   Shard_stack.attach hub sh ~make_arena:(make_arena p blobs);
   (* requesters *)
   for core = 0 to p.cores - 1 do
-    if core mod nshards = sid then begin
+    if core mod shards = sid then begin
       let rng = Sim.Rng.create (p.seed + (core * 6151)) in
       ignore
         (Sim.Engine.spawn eng

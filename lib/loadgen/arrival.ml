@@ -1,8 +1,8 @@
 (* Seeded arrival-process generation.  Streams are materialized eagerly
    from a private splitmix64 generator, so they are pure functions of
-   (seed, process, horizon) — no dependency on engine, shard or domain
-   state.  Interarrival draws are clamped to >= 1 cycle, which both
-   guarantees termination and keeps times strictly increasing. *)
+   (seed, process, horizon) — no dependency on engine or domain state.
+   Interarrival draws are clamped to >= 1 cycle, which both guarantees
+   termination and keeps times strictly increasing. *)
 
 type process =
   | Poisson of { rate : float }

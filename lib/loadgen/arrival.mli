@@ -3,7 +3,7 @@
     Every generator is a {e pure function} of [(seed, process, horizon)]:
     the stream is computed eagerly with a private splitmix64 generator
     before any engine event runs, so the same parameters produce the same
-    arrival times — byte-for-byte — at any [--shards] or [--jobs] degree
+    arrival times — byte-for-byte — at any [--jobs] degree
     (a QCheck property enforces this).  Times are virtual cycles on the
     simulated 2.4 GHz clock; rates are offered load in operations per
     second of that clock. *)
@@ -56,6 +56,6 @@ val shaped : shape -> rate:float -> horizon:int -> process
 val generate : seed:int -> horizon:int -> process -> int array
 (** [generate ~seed ~horizon p] is the strictly increasing array of
     arrival times in cycles, each in [\[1, horizon)].  Pure: equal
-    arguments give equal arrays, independent of any ambient engine,
-    shard or domain state.  Raises [Invalid_argument] on non-positive
+    arguments give equal arrays, independent of any ambient engine or
+    domain state.  Raises [Invalid_argument] on non-positive
     rates (an all-zero MMPP mix included) or dwell/period parameters. *)

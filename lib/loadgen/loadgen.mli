@@ -15,8 +15,8 @@
     bounded queue is full, or — when [shed_when_degraded] is set — while
     the backend reports degraded mode (the DRAM cache's read-only
     fallback after a write-back error storm).  Everything runs as
-    ordinary engine events under the [(time, seq)] merge, so results are
-    byte-identical at any [--shards] / [--jobs] degree. *)
+    ordinary engine events in [(time, seq)] order, so results are
+    byte-identical at any [--jobs] degree. *)
 
 module Arrival = Arrival
 

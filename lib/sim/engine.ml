@@ -98,12 +98,7 @@ let label_get ctx l =
 type t = {
   mutable now : int; (* virtual cycles; fits in 62 bits *)
   mutable seq : int;
-  qs : (unit -> unit) Pqueue.t array;
-      (* one event queue per shard; events route statically by the owning
-         fiber's core ([core mod nshards]).  [seq] stays engine-global, so
-         draining shards in ascending (time, seq) order reproduces the
-         single-queue execution byte for byte at any shard count. *)
-  nshards : int;
+  q : (unit -> unit) Pqueue.t;
   mutable horizon : int;
       (* exclusive virtual-time bound for [run_until]; [max_int] outside
          a windowed run.  The delay fast path honours it so a fiber
@@ -160,25 +155,11 @@ let event_hook_key : (int -> unit) option ref Domain.DLS.key =
 
 let set_domain_event_hook h = Domain.DLS.get event_hook_key := h
 
-(* Process-wide default shard count, set once by the CLI / bench driver
-   before any experiment builds its engine.  An [Atomic] (not DLS) so
-   [Fanout] worker domains pick it up too. *)
-let default_shards = Atomic.make 1
-
-let set_default_shards n =
-  if n < 1 then invalid_arg "Engine.set_default_shards: shards must be >= 1";
-  Atomic.set default_shards n
-
-let create ?(seed = 42) ?(fastpath = true) ?shards () =
-  let nshards =
-    match shards with Some n -> n | None -> Atomic.get default_shards
-  in
-  if nshards < 1 then invalid_arg "Engine.create: shards must be >= 1";
+let create ?(seed = 42) ?(fastpath = true) () =
   {
     now = 0;
     seq = 0;
-    qs = Array.init nshards (fun _ -> Pqueue.create ());
-    nshards;
+    q = Pqueue.create ();
     horizon = max_int;
     slot = Pqueue.slot ~dummy:ignore;
     current = None;
@@ -209,54 +190,9 @@ let rng t = t.engine_rng
 let events t = t.nevents
 let live_fibers t = t.live
 let set_event_hook t h = t.on_event <- h
-let n_shards t = t.nshards
 
-(* Static event-to-shard routing: the owning fiber's core picks the
-   shard.  Cores are the stable component identity in every workload
-   (engine cores, Block_dev channels and Ipi targets all pin fibers), so
-   the route never moves while a fiber is parked. *)
-let shard_of t core =
-  if t.nshards = 1 then 0
-  else begin
-    let s = core mod t.nshards in
-    if s < 0 then s + t.nshards else s
-  end
-
-let shard_of_core = shard_of
-
-(* Earliest queued time across all shards ([max_int] when drained) — the
-   fast-path guard.  Single-shard engines keep the one-load cost. *)
-let qmin_time t =
-  if t.nshards = 1 then Pqueue.min_time t.qs.(0)
-  else begin
-    let m = ref max_int in
-    for s = 0 to t.nshards - 1 do
-      let mt = Pqueue.min_time t.qs.(s) in
-      if mt < !m then m := mt
-    done;
-    !m
-  end
-
-(* Shard holding the globally next event by (time, seq), or -1 when every
-   queue is empty.  Because [seq] is engine-global, this merge recovers
-   the exact single-queue total order. *)
-let next_shard t =
-  if t.nshards = 1 then (if Pqueue.is_empty t.qs.(0) then -1 else 0)
-  else begin
-    let best = ref (-1) and bt = ref max_int and bs = ref max_int in
-    for s = 0 to t.nshards - 1 do
-      let q = t.qs.(s) in
-      let mt = Pqueue.min_time q in
-      if mt < !bt || (mt = !bt && Pqueue.min_seq q < !bs) then begin
-        best := s;
-        bt := mt;
-        bs := Pqueue.min_seq q
-      end
-    done;
-    !best
-  end
-
-let next_time t = qmin_time t
+(* Earliest queued time ([max_int] when drained) — the fast-path guard. *)
+let next_time t = Pqueue.min_time t.q
 
 let blocked_fibers t =
   Hashtbl.fold
@@ -280,10 +216,9 @@ let blocked_report t =
     (fun ctx ->
       Buffer.add_string b
         (Printf.sprintf
-           "  fiber %d %S core %d shard %d%s%s%s: events=%d user=%d sys=%d \
-            idle=%d cycles\n"
+           "  fiber %d %S core %d%s%s%s: events=%d user=%d sys=%d idle=%d \
+            cycles\n"
            ctx.fid ctx.name ctx.core
-           (shard_of t ctx.core)
            (* cluster-node tag: a cross-node RPC deadlock then names both
               halves (this node, plus the awaited shard) in one line *)
            (if ctx.node >= 0 then Printf.sprintf " node %d" ctx.node else "")
@@ -326,21 +261,18 @@ let cat_label = function User -> "user" | Sys -> "sys"
 let prof_charge ~now ~cycles ctx label =
   Metrics.Profile.charge ~now ~cycles ~fiber:ctx.name ~label
 
-let schedule t ~shard ~at thunk =
+let schedule t ~at thunk =
   let at = if at < t.now then t.now else at in
   t.seq <- t.seq + 1;
-  Pqueue.push t.qs.(shard) ~time:at ~seq:t.seq thunk
+  Pqueue.push t.q ~time:at ~seq:t.seq thunk
 
-(* External event injection: runs [thunk] at virtual time [at] on the
-   shard owning [core], outside any fiber.  This is how a Shard cluster
-   delivers cross-shard events (posted IPIs, remote completions); the
-   thunk must not perform fiber effects itself — spawn a fiber for any
-   work that needs to delay or block. *)
-let post t ?(core = 0) ~at thunk =
-  let at = Int64.to_int at in
-  let at = if at < t.now then t.now else at in
-  t.seq <- t.seq + 1;
-  Pqueue.push t.qs.(shard_of t core) ~time:at ~seq:t.seq (fun () ->
+(* External event injection: runs [thunk] at virtual time [at], outside
+   any fiber.  This is how a Shard cluster delivers cross-shard events
+   (posted IPIs, remote completions); the thunk must not perform fiber
+   effects itself — spawn a fiber for any work that needs to delay or
+   block. *)
+let post t ~at thunk =
+  schedule t ~at:(Int64.to_int at) (fun () ->
       t.current <- None;
       thunk ())
 
@@ -379,20 +311,18 @@ let run_fiber t ctx f =
                        (match label with Some l -> l | None -> cat_label cat));
                   let at = t.now + c in
                   t.seq <- t.seq + 1;
-                  (* Fast path: nothing queued on any shard can run before
-                     (at, seq) — the global head is strictly later (ties
-                     lose: an equal-time head has a smaller seq) — and the
-                     wake-up stays inside the run window.  Advance the
-                     clock and hand the continuation straight back to the
-                     run loop. *)
-                  if t.fastpath && qmin_time t > at && at < t.horizon then begin
+                  (* Fast path: nothing queued can run before (at, seq) —
+                     the head is strictly later (ties lose: an equal-time
+                     head has a smaller seq) — and the wake-up stays
+                     inside the run window.  Advance the clock and hand
+                     the continuation straight back to the run loop. *)
+                  if t.fastpath && next_time t > at && at < t.horizon then begin
                     t.now <- at;
                     t.current <- Some ctx;
                     t.pending <- Some k
                   end
                   else
-                    Pqueue.push t.qs.(shard_of t ctx.core) ~time:at ~seq:t.seq
-                      (fun () ->
+                    Pqueue.push t.q ~time:at ~seq:t.seq (fun () ->
                         ctx.ev <- ctx.ev + 1;
                         t.current <- Some ctx;
                         continue k ()))
@@ -407,14 +337,13 @@ let run_fiber t ctx f =
                     prof_charge ~now:t.now ~cycles:c ctx "idle";
                   let at = t.now + c in
                   t.seq <- t.seq + 1;
-                  if t.fastpath && qmin_time t > at && at < t.horizon then begin
+                  if t.fastpath && next_time t > at && at < t.horizon then begin
                     t.now <- at;
                     t.current <- Some ctx;
                     t.pending <- Some k
                   end
                   else
-                    Pqueue.push t.qs.(shard_of t ctx.core) ~time:at ~seq:t.seq
-                      (fun () ->
+                    Pqueue.push t.q ~time:at ~seq:t.seq (fun () ->
                         ctx.ev <- ctx.ev + 1;
                         t.current <- Some ctx;
                         continue k ()))
@@ -432,7 +361,7 @@ let run_fiber t ctx f =
                     resumed := true;
                     Hashtbl.remove t.blocked ctx.fid;
                     ctx.waiting_on <- -1;
-                    schedule t ~shard:(shard_of t ctx.core) ~at:t.now (fun () ->
+                    schedule t ~at:t.now (fun () ->
                         ctx.ev <- ctx.ev + 1;
                         ctx.idle <- ctx.idle + (t.now - t0);
                         (if Atomic.get Trace.live_tracers > 0 && t.now > t0 then
@@ -479,7 +408,7 @@ let spawn t ?(name = "fiber") ?(core = 0) ?(daemon = false) f =
          Trace.instant tr ~ts:(Int64.of_int t.now) ~core:ctx.core ~fiber:ctx.fid
            ~cat:"engine" "spawn"
      | None -> ());
-  schedule t ~shard:(shard_of t ctx.core) ~at:t.now (fun () ->
+  schedule t ~at:t.now (fun () ->
       ctx.ev <- ctx.ev + 1;
       t.current <- Some ctx;
       run_fiber t ctx f);
@@ -510,21 +439,17 @@ let run_loop t ~horizon =
             (match t.on_event with None -> () | Some f -> f t.nevents);
             Effect.Deep.continue k ()
         | None ->
-            let s = next_shard t in
-            if s < 0 then continue_ := false
-            else begin
-              let sl = t.slot in
-              if Pqueue.pop_into t.qs.(s) sl ~before:horizon then begin
-                t.now <- sl.Pqueue.s_time;
-                let thunk = sl.Pqueue.s_val in
-                sl.Pqueue.s_val <- ignore;
-                t.nevents <- t.nevents + 1;
-                Metrics.Registry.incr t.m_ev;
-                (match t.on_event with None -> () | Some f -> f t.nevents);
-                thunk ()
-              end
-              else continue_ := false
+            let sl = t.slot in
+            if Pqueue.pop_into t.q sl ~before:horizon then begin
+              t.now <- sl.Pqueue.s_time;
+              let thunk = sl.Pqueue.s_val in
+              sl.Pqueue.s_val <- ignore;
+              t.nevents <- t.nevents + 1;
+              Metrics.Registry.incr t.m_ev;
+              (match t.on_event with None -> () | Some f -> f t.nevents);
+              thunk ()
             end
+            else continue_ := false
       done)
 
 let run t = run_loop t ~horizon:max_int
@@ -547,7 +472,7 @@ let delay ?(cat = User) ?label c =
   let c = if c < 0 then 0 else c in
   match !(Domain.DLS.get ambient_key) with
   | Some ({ fastpath = true; current = Some ctx; _ } as t)
-    when qmin_time t > t.now + c && t.now + c < t.horizon ->
+    when next_time t > t.now + c && t.now + c < t.horizon ->
       (match cat with
       | User -> ctx.user <- ctx.user + c
       | Sys -> ctx.sys <- ctx.sys + c);
@@ -575,7 +500,7 @@ let idle_wait c =
   let c = if c < 0 then 0 else c in
   match !(Domain.DLS.get ambient_key) with
   | Some ({ fastpath = true; current = Some ctx; _ } as t)
-    when qmin_time t > t.now + c && t.now + c < t.horizon ->
+    when next_time t > t.now + c && t.now + c < t.horizon ->
       ctx.idle <- ctx.idle + c;
       if Atomic.get Trace.live_tracers > 0 then trace_span ~ts:t.now ~dur:c ~cat:"engine" ctx "idle";
       if Atomic.get Metrics.Profile.live > 0 then

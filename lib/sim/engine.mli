@@ -72,8 +72,8 @@ val waiting_on : ctx -> int
 
 val set_node_id : ctx -> int -> unit
 (** [set_node_id ctx nid] tags the fiber as serving cluster node [nid];
-    {!blocked_report} then prints ["node nid"] alongside the owning and
-    awaited shard.  Persists for the fiber's lifetime. *)
+    {!blocked_report} then prints ["node nid"] alongside the fiber's core
+    and awaited shard.  Persists for the fiber's lifetime. *)
 
 val node_id : ctx -> int
 (** [node_id ctx] is the cluster node id set by {!set_node_id}, or [-1]. *)
@@ -81,28 +81,14 @@ val node_id : ctx -> int
 type t
 (** A simulation engine instance. *)
 
-val create : ?seed:int -> ?fastpath:bool -> ?shards:int -> unit -> t
-(** [create ?seed ()] is a fresh engine with its clock at cycle 0.
-    [seed] (default 42) seeds the engine-wide RNG.  [fastpath] (default
-    [true]) enables the delay fast path; disabling it forces every event
-    through the queue — same results, slower, used by [bench/engine_perf]
-    to measure the fast path's win.  [shards] (default
-    {!set_default_shards}'s value, initially 1) partitions the event
-    queue per shard with static routing by the owning fiber's core
-    ([core mod shards]); the run loop merges shards in global
-    [(time, seq)] order, so results are byte-identical at any shard
-    count ("deterministic merge" — see DESIGN.md §9). *)
-
-val set_default_shards : int -> unit
-(** Process-wide default for [create]'s [shards] (the CLI's [--shards]).
-    An atomic, so engines built inside [Fanout] worker domains inherit
-    it too.  Raises [Invalid_argument] for values < 1. *)
-
-val n_shards : t -> int
-(** [n_shards t] is the number of event-queue shards. *)
-
-val shard_of_core : t -> int -> int
-(** [shard_of_core t core] is the shard owning fibers pinned to [core]. *)
+val create : ?seed:int -> ?fastpath:bool -> unit -> t
+(** [create ?seed ()] is a fresh engine with its clock at cycle 0 and
+    one event queue ordered by [(time, seq)].  [seed] (default 42) seeds
+    the engine-wide RNG.  [fastpath] (default [true]) enables the delay
+    fast path; disabling it forces every event through the queue — same
+    results, slower, used by [bench/engine_perf] to measure the fast
+    path's win.  Parallelism lives one level up: a {!Shard} cluster runs
+    one engine per shard (DESIGN.md §9). *)
 
 val now : t -> int64
 (** [now t] is the current virtual time in cycles. *)
@@ -127,9 +113,9 @@ val blocked_fibers : t -> (int * string) list
 
 val blocked_report : t -> string
 (** [blocked_report t] is a multi-line deadlock report: every parked
-    fiber (daemons flagged), its core, owning shard and cluster node id
-    when set (so cross-shard and cross-node deadlocks are triageable),
-    the number of events it executed
+    fiber (daemons flagged), its core, its cluster node id and awaited
+    {!Shard} peer when set (so cross-shard and cross-node deadlocks are
+    triageable), the number of events it executed
     ({!ctx.ev}), its user/sys/idle cycle totals, and its per-label cost
     breakdown ({!labels}) — so a fiber hung in a fault-injection retry
     loop ("io_retry") is distinguishable from one waiting on a lock.
@@ -166,14 +152,14 @@ val run_until : t -> horizon:int -> unit
     [run_until t ~horizon:max_int]. *)
 
 val next_time : t -> int
-(** [next_time t] is the earliest queued event time across all shards in
-    unboxed cycles, or [max_int] when the engine is drained.  Only
-    meaningful between runs (no fast-path continuation is pending). *)
+(** [next_time t] is the earliest queued event time in unboxed cycles,
+    or [max_int] when the engine is drained.  Only meaningful between
+    runs (no fast-path continuation is pending). *)
 
-val post : t -> ?core:int -> at:int64 -> (unit -> unit) -> unit
+val post : t -> at:int64 -> (unit -> unit) -> unit
 (** [post t ~at f] injects an external event: [f] runs at virtual time
-    [at] (clamped to now) on the shard owning [core] (default 0),
-    outside any fiber.  [f] must not call fiber-side operations
+    [at] (clamped to now), after every event already queued for that
+    time, outside any fiber.  [f] must not call fiber-side operations
     ({!delay}, {!suspend}, ...) directly — {!spawn} a fiber for work
     that needs them.  This is the cross-shard delivery primitive used by
     {!Shard} clusters. *)

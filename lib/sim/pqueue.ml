@@ -99,24 +99,10 @@ let pop t =
     Some r
   end
 
-(* Allocation-free accessors for the engine's run loop: read the head key
-   with [min_time]/[min_seq], then take the payload with [pop_min]. *)
-
+(* Allocation-free head key for the engine's fast-path guard. *)
 let min_time t = if t.len = 0 then max_int else t.times.(0)
 
-let min_seq t = if t.len = 0 then max_int else t.seqs.(0)
-
-let pop_min t =
-  if t.len = 0 then invalid_arg "Pqueue.pop_min: empty queue";
-  let v = t.vals.(0) in
-  remove_min t;
-  v
-
-let peek_payload t =
-  if t.len = 0 then invalid_arg "Pqueue.peek_payload: empty queue";
-  t.vals.(0)
-
-(* Reusable out-cell for the shard drain loop: popping through a slot
+(* Reusable out-cell for the engine's drain loop: popping through a slot
    moves the head key and payload into caller-owned mutable fields, so
    the per-event cost is three stores — no [(int * int * 'a) option]
    box, no tuple. *)
@@ -134,14 +120,3 @@ let pop_into t out ~before =
     remove_min t;
     true
   end
-
-(* Thin boxing wrapper over the head accessors + [pop_min]; kept for
-   callers that want the option API off the hot path. *)
-let pop_if_before t ~time =
-  if t.len = 0 || t.times.(0) >= time then None
-  else begin
-    let tt = t.times.(0) and ss = t.seqs.(0) in
-    Some (tt, ss, pop_min t)
-  end
-
-let peek_time t = if t.len = 0 then None else Some t.times.(0)

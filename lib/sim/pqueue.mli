@@ -26,27 +26,9 @@ val pop : 'a t -> (int * int * 'a) option
 (** [pop q] removes and returns the element with the smallest
     [(time, seq)] key, or [None] if the queue is empty. *)
 
-val pop_if_before : 'a t -> time:int -> (int * int * 'a) option
-(** [pop_if_before q ~time] is [pop q] when the head's time is strictly
-    earlier than [time], and [None] (leaving the queue untouched)
-    otherwise — the primitive behind the engine's delay fast path. *)
-
 val min_time : 'a t -> int
 (** [min_time q] is the key time of the head, or [max_int] when empty.
     Allocation-free, for hot-path comparisons. *)
-
-val min_seq : 'a t -> int
-(** [min_seq q] is the sequence number of the head, or [max_int] when
-    empty. *)
-
-val pop_min : 'a t -> 'a
-(** [pop_min q] removes the head and returns its payload only (no tuple
-    allocation).  Raises [Invalid_argument] on an empty queue; pair with
-    {!is_empty} or {!min_time}. *)
-
-val peek_payload : 'a t -> 'a
-(** [peek_payload q] is the head's payload without removing it.  Raises
-    [Invalid_argument] on an empty queue. *)
 
 type 'a slot = { mutable s_time : int; mutable s_seq : int; mutable s_val : 'a }
 (** Caller-owned out-cell for {!pop_into}: reusing one slot across a
@@ -61,8 +43,4 @@ val pop_into : 'a t -> 'a slot -> before:int -> bool
 (** [pop_into q out ~before] pops the head into [out] and returns [true]
     when the head's time is strictly earlier than [before]; otherwise
     leaves the queue untouched and returns [false].  The allocation-free
-    primitive behind the engine's shard drain loop; {!pop_if_before} is
-    its boxing wrapper. *)
-
-val peek_time : 'a t -> int option
-(** [peek_time q] is the key time of the next element without removing it. *)
+    primitive behind the engine's drain loop. *)

@@ -265,10 +265,7 @@ let step cl sid ~w ~t =
    (parity 1, drained at the top of window 0). *)
 let make_shard cl ~seed sid build =
   (try
-     (* [~shards:1]: cluster shards are single-queue engines regardless
-        of the ambient [Engine.set_default_shards] — the cluster *is* the
-        sharding. *)
-     let eng = Engine.create ~seed:(seed + (7919 * sid)) ~shards:1 () in
+     let eng = Engine.create ~seed:(seed + (7919 * sid)) () in
      let sh =
        { sid; eng; cl; par = 1; out_ord = 0; first_post = max_int; drained = 0 }
      in

@@ -109,51 +109,6 @@ let crash_at_exact_event () =
   checki "same event on repeat" a b;
   Alcotest.(check bool) "at or just after the ordinal" true (a >= 500 && a <= 505)
 
-(* ---- Crash ordinals are shard-count independent ---- *)
-
-let crash_ordinal_parity_across_shards () =
-  (* crash_at counts engine events, so it only stays meaningful under
-     --shards N if the sharded engine replays the single-queue event
-     order exactly; a multi-core workload must crash on the same event
-     ordinal at any shard count. *)
-  let run shards =
-    let spec = { Fault.Plan.default with Fault.Plan.crash_at = Some 400 } in
-    try
-      Fault.with_plan (Fault.Plan.make spec) (fun () ->
-          let eng = Sim.Engine.create ~shards () in
-          for core = 0 to 7 do
-            ignore
-              (Sim.Engine.spawn eng ~core (fun () ->
-                   for _ = 1 to 2_000 do
-                     Sim.Engine.delay (Int64.of_int (7 + core))
-                   done))
-          done;
-          Sim.Engine.run eng;
-          Alcotest.fail "expected a crash")
-    with Fault.Crash { at_event } -> at_event
-  in
-  let base = run 1 in
-  List.iter
-    (fun n -> checki (Printf.sprintf "same ordinal at %d shards" n) base (run n))
-    [ 2; 4; 8 ]
-
-let faultcheck_parity_across_shards () =
-  (* The whole crash-consistency checker (aquila_cli faultcheck) under
-     the ambient default --shards 4 sets: identical report, identical
-     crash ordinals. *)
-  let report () =
-    let r = Fault_check.Check.run_micro ~seeds:[ 1; 2 ] ~points:5 () in
-    (Format.asprintf "%a" Fault_check.Check.pp_report r,
-     r.Fault_check.Check.combos, r.Fault_check.Check.crashes)
-  in
-  let base = report () in
-  Fun.protect
-    ~finally:(fun () -> Sim.Engine.set_default_shards 1)
-    (fun () ->
-      Sim.Engine.set_default_shards 4;
-      Alcotest.(check (triple string int int))
-        "report identical under 4 shards" base (report ()))
-
 (* ---- Access-layer retry policy ---- *)
 
 let retry_exhaustion_and_backoff () =
@@ -372,10 +327,6 @@ let () =
       ( "injection",
         [
           Alcotest.test_case "crash at exact event" `Quick crash_at_exact_event;
-          Alcotest.test_case "crash ordinal parity across shards" `Quick
-            crash_ordinal_parity_across_shards;
-          Alcotest.test_case "faultcheck parity across shards" `Quick
-            faultcheck_parity_across_shards;
           Alcotest.test_case "retry + backoff" `Quick retry_exhaustion_and_backoff;
           Alcotest.test_case "permanent sticks" `Quick
             permanent_fails_fast_and_sticks;

@@ -33,7 +33,7 @@ let drain_clean eng =
 
 let arrival_purity =
   QCheck.Test.make
-    ~name:"arrival streams are pure in (seed, rate, horizon), any shard count"
+    ~name:"arrival streams are pure in (seed, rate, horizon)"
     ~count:50
     QCheck.(
       triple (int_range 1 1_000_000) (int_range 100 2_000_000)
@@ -47,25 +47,18 @@ let arrival_purity =
           Loadgen.Arrival.shaped Loadgen.Arrival.Diurnal_shape ~rate ~horizon;
         ]
       in
-      let ok =
-        List.for_all
-          (fun p ->
-            Sim.Engine.set_default_shards 1;
-            let a = Loadgen.Arrival.generate ~seed ~horizon p in
-            (* the stream may not read any ambient engine/shard state *)
-            Sim.Engine.set_default_shards 4;
-            let b = Loadgen.Arrival.generate ~seed ~horizon p in
-            let monotone = ref true in
-            Array.iteri
-              (fun i t ->
-                if t < 1 || t >= horizon then monotone := false;
-                if i > 0 && t <= a.(i - 1) then monotone := false)
-              a;
-            a = b && !monotone)
-          processes
-      in
-      Sim.Engine.set_default_shards 1;
-      ok)
+      List.for_all
+        (fun p ->
+          let a = Loadgen.Arrival.generate ~seed ~horizon p in
+          let b = Loadgen.Arrival.generate ~seed ~horizon p in
+          let monotone = ref true in
+          Array.iteri
+            (fun i t ->
+              if t < 1 || t >= horizon then monotone := false;
+              if i > 0 && t <= a.(i - 1) then monotone := false)
+            a;
+          a = b && !monotone)
+        processes)
 
 let arrival_mean_rate () =
   let horizon = 48_000_000 in
@@ -143,19 +136,6 @@ let burst_sheds_deterministically () =
   checki "queue never exceeds cap" 16 maxq;
   checki "admitted all served" (ar - shed_full) comp;
   if a <> b then Alcotest.fail "repeat run disagrees (nondeterministic)"
-
-(* The driver's results are invariant to the engine's shard count. *)
-let shard_invariance () =
-  let process = Loadgen.Arrival.Poisson { rate = 200_000. } in
-  let run shards =
-    let eng = Sim.Engine.create ~shards () in
-    let r =
-      Loadgen.run eng (cfg ~process ()) (fun () -> fixed_backend ())
-    in
-    drain_clean eng;
-    (summary r, Sim.Engine.events eng, Sim.Engine.now eng)
-  in
-  if run 1 <> run 4 then Alcotest.fail "shards 1 vs 4 disagree"
 
 let slo_accounting () =
   let run slo_cycles =
@@ -342,7 +322,6 @@ let () =
         [
           Alcotest.test_case "saturating burst sheds, no deadlock" `Quick
             burst_sheds_deterministically;
-          Alcotest.test_case "shard invariance" `Quick shard_invariance;
           Alcotest.test_case "SLO accounting" `Quick slo_accounting;
           Alcotest.test_case "degraded-mode shedding" `Quick degraded_shedding;
           Alcotest.test_case "hockey-stick mechanism" `Quick
