@@ -12,5 +12,10 @@ val mem : t -> string -> bool
 val bits : t -> int
 
 val serialize : t -> Bytes.t
+
 val deserialize : Bytes.t -> t
-(** Raises [Invalid_argument] on malformed input. *)
+(** [deserialize b] validates the header of the filter serialized at the
+    start of [b] (trailing bytes are ignored) and returns a filter that
+    probes [b] in place, without copying it: [b] must not change while
+    the filter is in use.  Raises [Invalid_argument] on malformed
+    input. *)

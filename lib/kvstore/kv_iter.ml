@@ -29,7 +29,8 @@ let of_memtable m ~start =
   of_sorted_list (Memtable.range m ~start ~n:max_int)
 
 let of_sst sst ~start =
-  let block = ref (Sst.locate_start_block sst start) in
+  let scratch = Sst.scratch () in
+  let block = ref (Sst.locate_start_block sst ~scratch start) in
   let pending = ref [] in
   let rec advance () =
     match !pending with
@@ -39,7 +40,7 @@ let of_sst sst ~start =
     | [] ->
         if !block >= Sst.data_pages sst then None
         else begin
-          pending := Sst.read_block_records sst !block;
+          pending := Sst.read_block_records sst ~scratch !block;
           incr block;
           advance ()
         end

@@ -22,13 +22,17 @@ type t = {
   cfg : config;
   mutable mem : Memtable.t;
   mutable imm : Memtable.t option; (* being flushed *)
-  levels : Sst.t list array; (* L0 newest-first; L1+ ascending by first_key *)
+  levels : Sst.t array array;
+      (* L0 newest-first; L1+ ascending by first_key and disjoint.  A
+         level is replaced, never changed in place, so a get that
+         suspends keeps a consistent view of it. *)
   mutable file_seq : int;
   mutable wal : Env.file;
   mutable wal_page : int;
   wal_buf : Bytes.t;
   mutable wal_pos : int;
   wlock : Sim.Sync.Mutex.t;
+  mutable scratch : Sst.scratch list; (* probe buffers no get holds *)
 }
 
 let wal_pages = 256
@@ -40,13 +44,14 @@ let create env ?(config = default_config) () =
     cfg = config;
     mem = Memtable.create ();
     imm = None;
-    levels = Array.make config.nlevels [];
+    levels = Array.make config.nlevels [||];
     file_seq = 1;
     wal;
     wal_page = 0;
     wal_buf = Bytes.make psz '\000';
     wal_pos = 0;
     wlock = Sim.Sync.Mutex.create ~name:"rocksdb-write" ();
+    scratch = [];
   }
 
 (* records per SST at the configured target size: data pages hold ~3
@@ -70,14 +75,12 @@ let wal_append t k v =
     Bytes.fill t.wal_buf 0 psz '\000';
     t.wal_pos <- 0
   end;
-  if rec_len <= psz then begin
-    Bytes.set_uint16_le t.wal_buf t.wal_pos (String.length k);
-    Bytes.set_int32_le t.wal_buf (t.wal_pos + 2) (Int32.of_int (String.length v));
-    Bytes.blit_string k 0 t.wal_buf (t.wal_pos + 6) (String.length k);
-    Bytes.blit_string v 0 t.wal_buf (t.wal_pos + 6 + String.length k)
-      (String.length v);
-    t.wal_pos <- t.wal_pos + rec_len
-  end
+  Bytes.set_uint16_le t.wal_buf t.wal_pos (String.length k);
+  Bytes.set_int32_le t.wal_buf (t.wal_pos + 2) (Int32.of_int (String.length v));
+  Bytes.blit_string k 0 t.wal_buf (t.wal_pos + 6) (String.length k);
+  Bytes.blit_string v 0 t.wal_buf (t.wal_pos + 6 + String.length k)
+    (String.length v);
+  t.wal_pos <- t.wal_pos + rec_len
 
 (* Merge SST record lists, earlier lists taking precedence per key. *)
 let merge_records lists =
@@ -93,7 +96,7 @@ let merge_records lists =
           end)
         recs)
     lists;
-  List.sort (fun (a, _) (b, _) -> compare a b) !out
+  List.sort (fun (a, _) (b, _) -> String.compare a b) !out
 
 let read_all sst =
   let acc = ref [] in
@@ -131,6 +134,10 @@ let build_ssts t records =
 
 let overlaps sst (lo, hi) = Sst.first_key sst <= hi && Sst.last_key sst >= lo
 
+let sorted_by_first_key ssts =
+  Array.stable_sort (fun a b -> String.compare (Sst.first_key a) (Sst.first_key b)) ssts;
+  ssts
+
 let level_max_ssts t level =
   if level = 0 then t.cfg.l0_limit
   else begin
@@ -140,9 +147,9 @@ let level_max_ssts t level =
 
 (* Compact [level] into [level+1]: merge overlapping files. *)
 let rec compact t level =
-  if level + 1 < t.cfg.nlevels && List.length t.levels.(level) > level_max_ssts t level
+  if level + 1 < t.cfg.nlevels && Array.length t.levels.(level) > level_max_ssts t level
   then begin
-    let upper = t.levels.(level) in
+    let upper = Array.to_list t.levels.(level) in
     match upper with
     | [] -> ()
     | _ ->
@@ -154,7 +161,7 @@ let rec compact t level =
           List.fold_left (fun acc s -> max acc (Sst.last_key s))
             (Sst.last_key (List.hd upper)) upper
         in
-        let lower = t.levels.(level + 1) in
+        let lower = Array.to_list t.levels.(level + 1) in
         let touched, untouched = List.partition (fun s -> overlaps s (lo, hi)) lower in
         (* upper is newest-first for L0; for L1+ order within the level is
            disjoint so precedence is irrelevant *)
@@ -162,11 +169,8 @@ let rec compact t level =
           merge_records (List.map read_all upper @ List.map read_all touched)
         in
         let new_ssts = build_ssts t merged in
-        let sorted =
-          List.sort (fun a b -> compare (Sst.first_key a) (Sst.first_key b))
-            (untouched @ new_ssts)
-        in
-        t.levels.(level) <- [];
+        let sorted = sorted_by_first_key (Array.of_list (untouched @ new_ssts)) in
+        t.levels.(level) <- [||];
         t.levels.(level + 1) <- sorted;
         List.iter Sst.delete upper;
         List.iter Sst.delete touched;
@@ -182,20 +186,20 @@ let flush_locked t =
       | [] -> ()
       | _ ->
           let ssts = build_ssts t records in
-          t.levels.(0) <- ssts @ t.levels.(0);
+          t.levels.(0) <- Array.append (Array.of_list ssts) t.levels.(0);
           compact t 0);
       t.imm <- None
 
 let flush t =
-  Sim.Sync.Mutex.lock t.wlock;
-  if t.imm = None && not (Memtable.is_empty t.mem) then begin
-    t.imm <- Some t.mem;
-    t.mem <- Memtable.create ()
-  end;
-  flush_locked t;
-  Sim.Sync.Mutex.unlock t.wlock
+  Sim.Sync.Mutex.with_lock t.wlock (fun () ->
+      if t.imm = None && not (Memtable.is_empty t.mem) then begin
+        t.imm <- Some t.mem;
+        t.mem <- Memtable.create ()
+      end;
+      flush_locked t)
 
 let put t k v =
+  Sst.check_record k v;
   Kv_costs.(charge "kv_put" (Int64.add put_base memtable_insert));
   wal_append t k v;
   Memtable.put t.mem k v;
@@ -203,24 +207,48 @@ let put t k v =
 
 (* ---- read path ---- *)
 
+(* Index of the SST of a sorted, disjoint level whose key range holds
+   [key], or -1. *)
 let search_sorted_level ssts key =
-  (* ssts ascending by first_key, disjoint: binary search *)
-  let arr = Array.of_list ssts in
-  let n = Array.length arr in
-  if n = 0 then None
+  let n = Array.length ssts in
+  if n = 0 || Sst.first_key ssts.(0) > key then -1
   else begin
     let lo = ref 0 and hi = ref (n - 1) in
-    let res = ref None in
-    if Sst.first_key arr.(0) > key then ()
-    else begin
-      while !lo < !hi do
-        let mid = (!lo + !hi + 1) / 2 in
-        if Sst.first_key arr.(mid) <= key then lo := mid else hi := mid - 1
-      done;
-      if key <= Sst.last_key arr.(!lo) then res := Some arr.(!lo)
-    end;
-    !res
+    while !lo < !hi do
+      let mid = (!lo + !hi + 1) / 2 in
+      if Sst.first_key ssts.(mid) <= key then lo := mid else hi := mid - 1
+    done;
+    if key <= Sst.last_key ssts.(!lo) then !lo else -1
   end
+
+let get_from_levels t ~scratch key =
+  let rec try_levels l =
+    if l >= t.cfg.nlevels then None
+    else begin
+      Kv_costs.(charge "kv_get" manifest_select);
+      let level = t.levels.(l) in
+      let i = search_sorted_level level key in
+      if i < 0 then try_levels (l + 1)
+      else
+        match Sst.get level.(i) ~scratch key with
+        | Some v -> Some v
+        | None -> try_levels (l + 1)
+    end
+  in
+  let l0 = t.levels.(0) in
+  let rec try_l0 i =
+    if i = Array.length l0 then try_levels 1
+    else begin
+      let sst = l0.(i) in
+      Kv_costs.(charge "kv_get" manifest_select);
+      if key >= Sst.first_key sst && key <= Sst.last_key sst then
+        match Sst.get sst ~scratch key with
+        | Some v -> Some v
+        | None -> try_l0 (i + 1)
+      else try_l0 (i + 1)
+    end
+  in
+  try_l0 0
 
 let get t key =
   Kv_costs.(charge "kv_get" (Int64.add get_base memtable_probe));
@@ -236,43 +264,32 @@ let get t key =
       in
       match imm_hit with
       | Some v -> Some v
-      | None ->
-          let rec try_l0 = function
-            | [] -> None
-            | sst :: rest ->
-                Kv_costs.(charge "kv_get" manifest_select);
-                if key >= Sst.first_key sst && key <= Sst.last_key sst then
-                  match Sst.get sst key with
-                  | Some v -> Some v
-                  | None -> try_l0 rest
-                else try_l0 rest
+      | None -> (
+          (* lend the probe a buffer of its own: SST reads suspend, so
+             concurrent gets must not share one *)
+          let scratch =
+            match t.scratch with
+            | s :: rest ->
+                t.scratch <- rest;
+                s
+            | [] -> Sst.scratch ()
           in
-          (match try_l0 t.levels.(0) with
-          | Some v -> Some v
-          | None ->
-              let rec try_levels l =
-                if l >= t.cfg.nlevels then None
-                else begin
-                  Kv_costs.(charge "kv_get" manifest_select);
-                  match search_sorted_level t.levels.(l) key with
-                  | Some sst -> (
-                      match Sst.get sst key with
-                      | Some v -> Some v
-                      | None -> try_levels (l + 1))
-                  | None -> try_levels (l + 1)
-                end
-              in
-              try_levels 1))
+          match get_from_levels t ~scratch key with
+          | v ->
+              t.scratch <- scratch :: t.scratch;
+              v
+          | exception e ->
+              t.scratch <- scratch :: t.scratch;
+              raise e))
 
 (* Lazy concatenation over a sorted, disjoint level: open one SST cursor
    at a time, in key order, starting from the first that may hold
    [start]. *)
 let level_cursor ssts ~start =
-  let rec from_start = function
-    | [] -> []
-    | sst :: rest -> if Sst.last_key sst < start then from_start rest else sst :: rest
-  in
-  let remaining = ref (from_start ssts) in
+  let next = ref 0 in
+  while !next < Array.length ssts && Sst.last_key ssts.(!next) < start do
+    incr next
+  done;
   let current = ref None in
   let rec pull () =
     match !current with
@@ -282,13 +299,14 @@ let level_cursor ssts ~start =
         | None ->
             current := None;
             pull ())
-    | None -> (
-        match !remaining with
-        | [] -> None
-        | sst :: rest ->
-            remaining := rest;
-            current := Some (Kv_iter.of_sst sst ~start);
-            pull ())
+    | None ->
+        if !next = Array.length ssts then None
+        else begin
+          let sst = ssts.(!next) in
+          incr next;
+          current := Some (Kv_iter.of_sst sst ~start);
+          pull ()
+        end
   in
   Kv_iter.of_fun pull
 
@@ -297,12 +315,14 @@ let iterator t ~start =
     Kv_iter.of_memtable t.mem ~start
     :: (match t.imm with Some imm -> [ Kv_iter.of_memtable imm ~start ] | None -> [])
   in
-  let l0_sources = List.map (fun sst -> Kv_iter.of_sst sst ~start) t.levels.(0) in
+  let l0_sources =
+    List.map (fun sst -> Kv_iter.of_sst sst ~start) (Array.to_list t.levels.(0))
+  in
   let level_sources =
     List.filter_map
       (fun l ->
         match t.levels.(l) with
-        | [] -> None
+        | [||] -> None
         | ssts -> Some (level_cursor ssts ~start))
       (List.init (t.cfg.nlevels - 1) (fun i -> i + 1))
   in
@@ -316,18 +336,18 @@ let scan t ~start ~n =
   result
 
 let bulk_load t records =
+  List.iter (fun (k, v) -> Sst.check_record k v) records;
   let ssts = build_ssts t records in
   let bottom = t.cfg.nlevels - 1 in
   t.levels.(bottom) <-
-    List.sort (fun a b -> compare (Sst.first_key a) (Sst.first_key b))
-      (t.levels.(bottom) @ ssts)
+    sorted_by_first_key (Array.append t.levels.(bottom) (Array.of_list ssts))
 
-let sst_count t = Array.fold_left (fun acc l -> acc + List.length l) 0 t.levels
-let level_sizes t = Array.to_list (Array.map List.length t.levels)
+let sst_count t = Array.fold_left (fun acc l -> acc + Array.length l) 0 t.levels
+let level_sizes t = Array.to_list (Array.map Array.length t.levels)
 
 let record_count t =
   Memtable.entries t.mem
   + (match t.imm with Some m -> Memtable.entries m | None -> 0)
   + Array.fold_left
-      (fun acc l -> acc + List.fold_left (fun a s -> a + Sst.nrecords s) 0 l)
+      (fun acc l -> acc + Array.fold_left (fun a s -> a + Sst.nrecords s) 0 l)
       0 t.levels

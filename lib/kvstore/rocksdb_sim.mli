@@ -26,7 +26,9 @@ val create : Env.t -> ?config:config -> unit -> t
 
 val put : t -> string -> string -> unit
 (** Insert or update.  WAL append + memtable; may trigger a synchronous
-    flush/compaction.  Must run inside a fiber. *)
+    flush/compaction.  Must run inside a fiber.  Raises
+    [Invalid_argument] for a record the SST format cannot hold (see
+    {!Sst.check_record}). *)
 
 val get : t -> string -> string option
 val scan : t -> start:string -> n:int -> (string * string) list
@@ -40,10 +42,14 @@ val iterator : t -> start:string -> Kv_iter.t
 
 val bulk_load : t -> (string * string) list -> unit
 (** [bulk_load t records] builds bottom-level SSTs directly from
-    ascending-key, duplicate-free [records] (the YCSB load phase). *)
+    ascending-key, duplicate-free [records] (the YCSB load phase).  Every
+    record is checked with {!Sst.check_record} before anything is
+    written. *)
 
 val flush : t -> unit
-(** Force the memtable to an L0 SST. *)
+(** Force the memtable to an L0 SST.  If building it raises (a device
+    error), the exception propagates with the write lock released and
+    the memtable kept for the next flush. *)
 
 val sst_count : t -> int
 val level_sizes : t -> int list

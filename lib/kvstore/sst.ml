@@ -13,84 +13,82 @@ type t = {
   nbloom : int;
 }
 
-let record_bytes k v = 6 + String.length k + String.length v
+(* Records are [u16 klen | u32 vlen | key | value] and index entries
+   [u16 klen | u32 block_no | key]; a zero [klen] ends a block or the
+   index, which is why keys are non-empty. *)
+let header = 6
+let record_bytes k v = header + String.length k + String.length v
+
+let check_record k v =
+  if k = "" then invalid_arg "Sst: empty key";
+  if record_bytes k v > psz then invalid_arg "Sst: record larger than a block"
+
+let put_entry b pos k n =
+  Bytes.set_uint16_le b pos (String.length k);
+  Bytes.set_int32_le b (pos + 2) (Int32.of_int n);
+  Bytes.blit_string k 0 b (pos + header) (String.length k)
 
 (* ---- building ---- *)
 
-let pack_blocks records =
-  (* Greedily fill 4 KiB blocks; a record never spans blocks. *)
-  let blocks = ref [] in
-  let cur = Buffer.create psz in
-  let cur_first = ref None in
-  let flush () =
-    match !cur_first with
-    | None -> ()
-    | Some fk ->
-        let b = Bytes.make psz '\000' in
-        Bytes.blit (Buffer.to_bytes cur) 0 b 0 (Buffer.length cur);
-        blocks := (fk, b) :: !blocks;
-        Buffer.clear cur;
-        cur_first := None
-  in
+(* Greedily fill 4 KiB blocks; a record never spans blocks.  Calls
+   [f block pos k v] for each record in order ([pos] = 0 opens a block)
+   and returns the number of blocks. *)
+let pack records f =
+  let block = ref (-1) and pos = ref psz in
   List.iter
     (fun (k, v) ->
       let need = record_bytes k v in
-      if need > psz then invalid_arg "Sst: record larger than a block";
-      if Buffer.length cur + need > psz then flush ();
-      if !cur_first = None then cur_first := Some k;
-      let hdr = Bytes.create 6 in
-      Bytes.set_uint16_le hdr 0 (String.length k);
-      Bytes.set_int32_le hdr 2 (Int32.of_int (String.length v));
-      Buffer.add_bytes cur hdr;
-      Buffer.add_string cur k;
-      Buffer.add_string cur v)
+      if !pos + need > psz then begin
+        incr block;
+        pos := 0
+      end;
+      f !block !pos k v;
+      pos := !pos + need)
     records;
-  flush ();
-  List.rev !blocks
+  !block + 1
 
-let pack_index firsts =
-  let buf = Buffer.create psz in
-  List.iteri
-    (fun block_no fk ->
-      let hdr = Bytes.create 6 in
-      Bytes.set_uint16_le hdr 0 (String.length fk);
-      Bytes.set_int32_le hdr 2 (Int32.of_int block_no);
-      Buffer.add_bytes buf hdr;
-      Buffer.add_string buf fk)
-    firsts;
-  let len = Buffer.length buf in
-  let pages = max 1 ((len + psz - 1) / psz) in
-  let out = Bytes.make (pages * psz) '\000' in
-  Bytes.blit (Buffer.to_bytes buf) 0 out 0 len;
-  (out, pages)
+let pages_for len = max 1 ((len + psz - 1) / psz)
 
 let build env ~name records =
   (match records with [] -> invalid_arg "Sst.build: empty" | _ -> ());
-  let blocks = pack_blocks records in
-  let firsts = List.map fst blocks in
-  let index_bytes, nindex = pack_index firsts in
-  let bloom = Bloom.create ~expected_keys:(List.length records) in
+  List.iter (fun (k, v) -> check_record k v) records;
+  let index_len = ref 0 in
+  let ndata =
+    pack records (fun _ pos k _ ->
+        if pos = 0 then index_len := !index_len + header + String.length k)
+  in
+  let nindex = pages_for !index_len in
+  let data = Bytes.make (ndata * psz) '\000' in
+  let index = Bytes.make (nindex * psz) '\000' in
+  let ipos = ref 0 in
+  ignore
+    (pack records (fun block pos k v ->
+         if pos = 0 then begin
+           put_entry index !ipos k block;
+           ipos := !ipos + header + String.length k
+         end;
+         let at = (block * psz) + pos in
+         put_entry data at k (String.length v);
+         Bytes.blit_string v 0 data (at + header + String.length k) (String.length v)));
+  let nrecs = List.length records in
+  let bloom = Bloom.create ~expected_keys:nrecs in
   List.iter (fun (k, _) -> Bloom.add bloom k) records;
   let bloom_ser = Bloom.serialize bloom in
-  let nbloom = max 1 ((Bytes.length bloom_ser + psz - 1) / psz) in
+  let nbloom = pages_for (Bytes.length bloom_ser) in
   let bloom_bytes = Bytes.make (nbloom * psz) '\000' in
   Bytes.blit bloom_ser 0 bloom_bytes 0 (Bytes.length bloom_ser);
-  let ndata = List.length blocks in
   let total = ndata + nindex + nbloom in
   let file = Env.create_file env ~name ~size_pages:total in
-  (* write data blocks in one sequential pass *)
-  let data = Bytes.create (ndata * psz) in
-  List.iteri (fun i (_, b) -> Bytes.blit b 0 data (i * psz) psz) blocks;
   Env.write file ~off:0 ~src:data;
-  Env.write file ~off:(ndata * psz) ~src:index_bytes;
+  Env.write file ~off:(ndata * psz) ~src:index;
   Env.write file ~off:((ndata + nindex) * psz) ~src:bloom_bytes;
   Env.sync file;
   {
     file;
     sname = name;
     fkey = fst (List.hd records);
-    lkey = fst (List.nth records (List.length records - 1));
-    nrecs = List.length records;
+    lkey = fst (List.nth records (nrecs - 1));
+    nrecs;
     ndata;
     index_page0 = ndata;
     nindex;
@@ -104,121 +102,127 @@ let nrecords t = t.nrecs
 let data_pages t = t.ndata
 let total_pages t = t.ndata + t.nindex + t.nbloom
 
-(* ---- reading ---- *)
+(* ---- reading, decoded in place ---- *)
 
-let read_bloom t =
-  let b = Bytes.create (t.nbloom * psz) in
-  Env.read t.file ~off:(t.bloom_page0 * psz) ~len:(t.nbloom * psz) ~dst:b;
-  Bloom.deserialize b
+type scratch = { mutable buf : Bytes.t; mutable offs : int array }
 
-let read_index t =
-  let b = Bytes.create (t.nindex * psz) in
-  Env.read t.file ~off:(t.index_page0 * psz) ~len:(t.nindex * psz) ~dst:b;
-  (* parse entries *)
-  let entries = ref [] in
-  let pos = ref 0 in
-  let continue_ = ref true in
-  while !continue_ && !pos + 6 <= Bytes.length b do
-    let klen = Bytes.get_uint16_le b !pos in
-    if klen = 0 then continue_ := false
-    else begin
-      let block_no = Int32.to_int (Bytes.get_int32_le b (!pos + 2)) in
-      let k = Bytes.sub_string b (!pos + 6) klen in
-      entries := (k, block_no) :: !entries;
-      pos := !pos + 6 + klen
-    end
+let scratch () = { buf = Bytes.empty; offs = [||] }
+
+(* Reads [pages] pages from [page] into [s.buf], which is grown to fit;
+   bytes past them are stale. *)
+let read_pages t s ~page ~pages =
+  let len = pages * psz in
+  if Bytes.length s.buf < len then s.buf <- Bytes.create len;
+  Env.read t.file ~off:(page * psz) ~len ~dst:s.buf;
+  s.buf
+
+(* Orders the [len] bytes at [off] in [b] against [key] exactly like
+   [String.compare]: bytewise, then the shorter first. *)
+let compare_at b off len key =
+  let n = min len (String.length key) in
+  let i = ref 0 in
+  while !i < n && Bytes.unsafe_get b (off + !i) = String.unsafe_get key !i do
+    incr i
   done;
-  Array.of_list (List.rev !entries)
+  if !i < n then Char.compare (Bytes.unsafe_get b (off + !i)) (String.unsafe_get key !i)
+  else Int.compare len (String.length key)
 
-(* Largest index entry with first_key <= key. *)
-let locate_block index key =
-  let n = Array.length index in
-  if n = 0 || fst index.(0) > key then None
+(* Reads the index and returns the block whose first key is the largest
+   one <= [key], or [None] if [key] precedes every block.  One pass
+   records the entry offsets in [s.offs]; the search then compares keys
+   where they lie. *)
+let find_block t s key =
+  let b = read_pages t s ~page:t.index_page0 ~pages:t.nindex in
+  if Array.length s.offs < t.ndata then s.offs <- Array.make t.ndata 0;
+  let len = t.nindex * psz in
+  let n = ref 0 and pos = ref 0 in
+  while !n < t.ndata && !pos + header <= len && Bytes.get_uint16_le b !pos <> 0 do
+    s.offs.(!n) <- !pos;
+    pos := !pos + header + Bytes.get_uint16_le b !pos;
+    incr n
+  done;
+  let cmp i =
+    let p = s.offs.(i) in
+    compare_at b (p + header) (Bytes.get_uint16_le b p) key
+  in
+  if !n = 0 || cmp 0 > 0 then None
   else begin
-    let lo = ref 0 and hi = ref (n - 1) in
+    let lo = ref 0 and hi = ref (!n - 1) in
     while !lo < !hi do
       let mid = (!lo + !hi + 1) / 2 in
-      if fst index.(mid) <= key then lo := mid else hi := mid - 1
+      if cmp mid <= 0 then lo := mid else hi := mid - 1
     done;
-    Some (snd index.(!lo))
+    Some (Int32.to_int (Bytes.get_int32_le b (s.offs.(!lo) + 2)))
   end
 
-let parse_block b f =
-  let pos = ref 0 in
-  let continue_ = ref true in
-  while !continue_ && !pos + 6 <= psz do
-    let klen = Bytes.get_uint16_le b !pos in
-    if klen = 0 then continue_ := false
-    else begin
-      let vlen = Int32.to_int (Bytes.get_int32_le b (!pos + 2)) in
-      let k = Bytes.sub_string b (!pos + 6) klen in
-      let v = Bytes.sub_string b (!pos + 6 + klen) vlen in
-      if not (f k v) then continue_ := false;
-      pos := !pos + 6 + klen + vlen
+(* Calls [f kpos klen vlen] on each record of data block [b] from byte
+   [pos], where the key starts at [kpos] and the value follows it, until
+   [f] returns [false]. *)
+let rec iter_records b pos f =
+  if pos + header <= psz then begin
+    let klen = Bytes.get_uint16_le b pos in
+    if klen <> 0 then begin
+      let vlen = Int32.to_int (Bytes.get_int32_le b (pos + 2)) in
+      if f (pos + header) klen vlen then iter_records b (pos + header + klen + vlen) f
     end
-  done
+  end
 
-let read_block t block_no =
-  let b = Bytes.create psz in
-  Env.read t.file ~off:(block_no * psz) ~len:psz ~dst:b;
-  b
+let iter_block b f = iter_records b 0 f
 
-let get t key =
+let read_block t s block_no = read_pages t s ~page:block_no ~pages:1
+
+let get t ~scratch:s key =
   if key < t.fkey || key > t.lkey then None
   else begin
-    let bloom = read_bloom t in
+    let filter = read_pages t s ~page:t.bloom_page0 ~pages:t.nbloom in
     Kv_costs.(charge "kv_get_bloom" bloom_probe);
-    if not (Bloom.mem bloom key) then None
+    if not (Bloom.mem (Bloom.deserialize filter) key) then None
     else begin
-      let index = read_index t in
+      let block = find_block t s key in
       Kv_costs.(charge "kv_get_index" index_search);
-      match locate_block index key with
+      match block with
       | None -> None
       | Some block_no ->
-          let b = read_block t block_no in
+          let b = read_block t s block_no in
           Kv_costs.(charge "kv_get_block" block_scan);
           let found = ref None in
-          parse_block b (fun k v ->
-              if k = key then begin
-                found := Some v;
-                false
-              end
-              else k < key);
+          iter_block b (fun kpos klen vlen ->
+              let c = compare_at b kpos klen key in
+              if c = 0 then found := Some (Bytes.sub_string b (kpos + klen) vlen);
+              c < 0);
           !found
     end
   end
 
-let iter_from t ~start ~f =
-  let index = read_index t in
+let locate_start_block t ~scratch start =
+  let block = find_block t scratch start in
   Kv_costs.(charge "kv_scan_index" index_search);
-  let start_block = match locate_block index start with None -> 0 | Some b -> b in
+  Option.value block ~default:0
+
+let iter_from t ~start ~f =
+  let s = scratch () in
   let stop = ref false in
-  let block = ref start_block in
+  let block = ref (locate_start_block t ~scratch:s start) in
   while (not !stop) && !block < t.ndata do
-    let b = read_block t !block in
+    let b = read_block t s !block in
     Kv_costs.(charge "kv_scan_block" block_scan);
-    parse_block b (fun k v ->
-        if k < start then true
-        else if f k v then true
-        else begin
-          stop := true;
-          false
-        end);
+    iter_block b (fun kpos klen vlen ->
+        compare_at b kpos klen start < 0
+        || f (Bytes.sub_string b kpos klen) (Bytes.sub_string b (kpos + klen) vlen)
+        || begin
+             stop := true;
+             false
+           end);
     incr block
   done
 
-let locate_start_block t start =
-  let index = read_index t in
-  Kv_costs.(charge "kv_scan_index" index_search);
-  match locate_block index start with None -> 0 | Some b -> b
-
-let read_block_records t b =
+let read_block_records t ~scratch b =
   if b < 0 || b >= t.ndata then invalid_arg "Sst.read_block_records";
-  let bytes = read_block t b in
+  let bytes = read_block t scratch b in
   Kv_costs.(charge "kv_scan_block" block_scan);
   let acc = ref [] in
-  parse_block bytes (fun k v ->
-      acc := (k, v) :: !acc;
+  iter_block bytes (fun kpos klen vlen ->
+      acc := (Bytes.sub_string bytes kpos klen, Bytes.sub_string bytes (kpos + klen) vlen) :: !acc;
       true);
   List.rev !acc
 

@@ -87,15 +87,16 @@ let sst_build_get () =
   in_sim (fun () ->
       let recs = records 500 in
       let sst = Kvstore.Sst.build env ~name:"0001.sst" recs in
+      let scratch = Kvstore.Sst.scratch () in
       checki "record count" 500 (Kvstore.Sst.nrecords sst);
       Alcotest.(check string) "first key" "key000000" (Kvstore.Sst.first_key sst);
       Alcotest.(check string) "last key" "key000499" (Kvstore.Sst.last_key sst);
       Alcotest.(check (option string)) "hit" (Some "value-000123")
-        (Kvstore.Sst.get sst "key000123");
+        (Kvstore.Sst.get sst ~scratch "key000123");
       Alcotest.(check (option string)) "miss inside range" None
-        (Kvstore.Sst.get sst "key000123x");
+        (Kvstore.Sst.get sst ~scratch "key000123x");
       Alcotest.(check (option string)) "miss outside" None
-        (Kvstore.Sst.get sst "zzz"))
+        (Kvstore.Sst.get sst ~scratch "zzz"))
 
 let sst_iter () =
   let env = make_env () in
@@ -110,30 +111,39 @@ let sst_iter () =
         (List.rev !seen))
 
 let sst_property =
-  (* values bounded below a block: oversized records are rejected by
-     design (see sst_rejects_oversized) *)
+  (* Keys of 1-8 bytes over an alphabet holding 0x00 and 0xff share
+     prefixes and need the in-place key compare to order bytes unsigned,
+     like String.compare.  Values stay below a block: oversized records
+     are rejected by design (see sst_rejects_oversized). *)
   QCheck.Test.make ~name:"sst get agrees with input map" ~count:20
     QCheck.(
       list_of_size (QCheck.Gen.int_range 1 100)
-        (pair (int_bound 500)
+        (pair
+           (string_gen_of_size (QCheck.Gen.int_range 1 8)
+              (QCheck.Gen.oneofl [ '\000'; 'a'; 'b'; '\255' ]))
            (string_of_size (QCheck.Gen.int_range 0 1000))))
     (fun pairs ->
       let module Sm = Map.Make (String) in
-      let m =
-        List.fold_left
-          (fun acc (k, v) -> Sm.add (Printf.sprintf "k%05d" k) ("v" ^ v) acc)
-          Sm.empty pairs
+      let m = List.fold_left (fun acc (k, v) -> Sm.add k ("v" ^ v) acc) Sm.empty pairs in
+      (* every key, its strict prefixes and one-byte extensions (which
+         fall between keys, and between blocks), and keys below and above
+         the whole range *)
+      let probes =
+        String.make 9 '\255'
+        :: List.concat_map
+             (fun (k, _) ->
+               k :: (k ^ "\000") :: (k ^ "a") :: (k ^ "\255")
+               :: List.init (String.length k) (fun i -> String.sub k 0 i))
+             (Sm.bindings m)
       in
-      let recs = Sm.bindings m in
-      recs = []
-      ||
       let ok = ref true in
       in_sim (fun () ->
           let env = make_env () in
-          let sst = Kvstore.Sst.build env ~name:"p.sst" recs in
-          Sm.iter
-            (fun k v -> if Kvstore.Sst.get sst k <> Some v then ok := false)
-            m);
+          let sst = Kvstore.Sst.build env ~name:"p.sst" (Sm.bindings m) in
+          let scratch = Kvstore.Sst.scratch () in
+          List.iter
+            (fun k -> if Kvstore.Sst.get sst ~scratch k <> Sm.find_opt k m then ok := false)
+            probes);
       !ok)
 
 let sst_rejects_oversized () =
@@ -144,6 +154,61 @@ let sst_rejects_oversized () =
           ignore
             (Kvstore.Sst.build env ~name:"big.sst"
                [ ("k", String.make 5000 'x') ])))
+
+(* ---- On-device layout ---- *)
+
+(* Two SSTs built in one fiber over a 1024-page pmem: [a] has 218 data
+   pages and a 2-page index, [b] 32 data pages and a 2-page filter.  The
+   device bytes are pinned, and every key is probed, so multi-page index
+   and filter reads are decoded too. *)
+let sst_layout_pinned () =
+  let store = Blobstore.Store.create ~capacity_pages:1024 () in
+  let pmem = Sdevice.Pmem.create ~capacity_bytes:(Int64.of_int (1024 * psz)) () in
+  let access = Sdevice.Access.dax_pmem Hw.Costs.default pmem in
+  let ucache =
+    Uspace.User_cache.create (Uspace.User_cache.default_config ~capacity_pages:512)
+  in
+  let env =
+    Kvstore.Env.direct_ucache ~store ~costs:Hw.Costs.default ~device_access:access ~ucache
+  in
+  let a_recs =
+    List.init 1000 (fun i ->
+        ( Printf.sprintf "key%06d%s" i (String.make (8 + (i mod 7)) 'x'),
+          String.init (i * 37 mod 1500) (fun j -> Char.chr (33 + ((i + j) mod 90))) ))
+  in
+  let b_recs =
+    List.init 4000 (fun i ->
+        ( Printf.sprintf "k%05d" i,
+          String.init (i mod 41) (fun j -> Char.chr (97 + (((i * 7) + j) mod 26))) ))
+  in
+  let wrong = ref [] in
+  in_sim (fun () ->
+      let a = Kvstore.Sst.build env ~name:"a.sst" a_recs in
+      let b = Kvstore.Sst.build env ~name:"b.sst" b_recs in
+      checki "a data pages" 218 (Kvstore.Sst.data_pages a);
+      checki "a total pages" 221 (Kvstore.Sst.total_pages a);
+      checki "b data pages" 32 (Kvstore.Sst.data_pages b);
+      checki "b total pages" 35 (Kvstore.Sst.total_pages b);
+      let scratch = Kvstore.Sst.scratch () in
+      List.iter
+        (fun (sst, recs) ->
+          List.iter
+            (fun (k, v) ->
+              if Kvstore.Sst.get sst ~scratch k <> Some v then wrong := k :: !wrong;
+              List.iter
+                (fun miss ->
+                  if Kvstore.Sst.get sst ~scratch miss <> None then wrong := miss :: !wrong)
+                [ k ^ "!"; k ^ "0" ])
+            recs)
+        [ (a, a_recs); (b, b_recs) ]);
+  Alcotest.(check (list string)) "every key found, every near miss absent" [] !wrong;
+  let device = Buffer.create (1024 * psz) and page = Bytes.create psz in
+  for p = 0 to 1023 do
+    Sdevice.Pagestore.read_page (Sdevice.Pmem.store pmem) ~page:p ~dst:page;
+    Buffer.add_bytes device page
+  done;
+  Alcotest.(check string) "device bytes" "2a64165518f1f2df2e692021490cb80f"
+    (Digest.to_hex (Digest.string (Buffer.contents device)))
 
 (* ---- RocksDB ---- *)
 
@@ -212,6 +277,88 @@ let rocksdb_bulk_load_and_scan () =
       Alcotest.(check (list string)) "scan sees memtable"
         [ "key000501"; "key000501x"; "key000502" ]
         (List.map fst scan2))
+
+(* A zero key length ends an SST block, and the empty key sorts first,
+   so a stored empty key would hide its whole SST. *)
+let rocksdb_rejects_empty_key () =
+  let env = make_env () in
+  in_sim (fun () ->
+      let db = Kvstore.Rocksdb_sim.create env () in
+      let empty_key = Invalid_argument "Sst: empty key" in
+      Alcotest.check_raises "put" empty_key (fun () -> Kvstore.Rocksdb_sim.put db "" "v");
+      Alcotest.check_raises "bulk_load" empty_key (fun () ->
+          Kvstore.Rocksdb_sim.bulk_load db [ ("", "v"); ("a", "v") ]);
+      Alcotest.check_raises "Sst.build" empty_key (fun () ->
+          ignore (Kvstore.Sst.build env ~name:"e.sst" [ ("", "v") ]));
+      for i = 0 to 9 do
+        Kvstore.Rocksdb_sim.put db (Printf.sprintf "k%03d" i) (Printf.sprintf "v%d" i)
+      done;
+      Kvstore.Rocksdb_sim.flush db;
+      Alcotest.(check (option string)) "get after flush" (Some "v5")
+        (Kvstore.Rocksdb_sim.get db "k005");
+      checki "scan from the empty key" 10
+        (List.length (Kvstore.Rocksdb_sim.scan db ~start:"" ~n:100));
+      checki "record count" 10 (Kvstore.Rocksdb_sim.record_count db))
+
+(* A record must fit one block with its 6-byte header.  The put itself
+   must fail: a later flush is too late, as other fibers wait on it. *)
+let rocksdb_rejects_oversized () =
+  let env = make_env () in
+  let eng = Sim.Engine.create () in
+  let db = Sim.Sync.Ivar.create () and flushed = ref 0 in
+  ignore
+    (Sim.Engine.spawn eng ~core:0 (fun () ->
+         let d = Kvstore.Rocksdb_sim.create env () in
+         Alcotest.check_raises "put" (Invalid_argument "Sst: record larger than a block")
+           (fun () -> Kvstore.Rocksdb_sim.put d "big" (String.make 4088 'x'));
+         Kvstore.Rocksdb_sim.put d "fit" (String.make 4087 'x');
+         Kvstore.Rocksdb_sim.flush d;
+         incr flushed;
+         Sim.Sync.Ivar.fill db d));
+  ignore
+    (Sim.Engine.spawn eng ~core:1 (fun () ->
+         let d = Sim.Sync.Ivar.read db in
+         Kvstore.Rocksdb_sim.put d "later" "v";
+         Kvstore.Rocksdb_sim.flush d;
+         incr flushed;
+         Alcotest.(check (option string)) "a full-block record" (Some (String.make 4087 'x'))
+           (Kvstore.Rocksdb_sim.get d "fit");
+         Alcotest.(check (option string)) "rejected" None (Kvstore.Rocksdb_sim.get d "big")));
+  Sim.Engine.run eng;
+  checki "both flushes completed" 2 !flushed;
+  checki "no fiber left" 0 (Sim.Engine.live_fibers eng)
+
+(* Every SST write fails permanently during one flush: the flush raises,
+   and must not keep the write lock. *)
+let rocksdb_failed_flush_releases_lock () =
+  let env = make_env () in
+  let eng = Sim.Engine.create () in
+  let db = Sim.Sync.Ivar.create () and raised = ref false and finished = ref false in
+  let broken =
+    Fault.Plan.make
+      { Fault.Plan.default with Fault.Plan.seed = 5; write_error = 1.0; permanent = 1.0 }
+  in
+  ignore
+    (Sim.Engine.spawn eng ~core:0 (fun () ->
+         let d = Kvstore.Rocksdb_sim.create env () in
+         for i = 0 to 99 do
+           Kvstore.Rocksdb_sim.put d (Printf.sprintf "k%03d" i) "v"
+         done;
+         (try Fault.with_plan broken (fun () -> Kvstore.Rocksdb_sim.flush d)
+          with Fault.Io_error _ -> raised := true);
+         Sim.Sync.Ivar.fill db d));
+  ignore
+    (Sim.Engine.spawn eng ~core:1 (fun () ->
+         let d = Sim.Sync.Ivar.read db in
+         Kvstore.Rocksdb_sim.put d "late" "v";
+         Kvstore.Rocksdb_sim.flush d;
+         finished := true;
+         Alcotest.(check (option string)) "flushed after the failure" (Some "v")
+           (Kvstore.Rocksdb_sim.get d "k050")));
+  Sim.Engine.run eng;
+  Alcotest.(check bool) "first flush raised" true !raised;
+  Alcotest.(check bool) "second flush completed" true !finished;
+  checki "no fiber left" 0 (Sim.Engine.live_fibers eng)
 
 let rocksdb_missing_key () =
   let env = make_env () in
@@ -513,6 +660,7 @@ let () =
           Alcotest.test_case "iter" `Quick sst_iter;
           Alcotest.test_case "oversized record" `Quick sst_rejects_oversized;
           QCheck_alcotest.to_alcotest sst_property;
+          Alcotest.test_case "on-device layout pinned" `Quick sst_layout_pinned;
         ] );
       ( "rocksdb",
         [
@@ -520,6 +668,10 @@ let () =
           Alcotest.test_case "compaction keeps data" `Quick rocksdb_compaction_keeps_data;
           Alcotest.test_case "bulk load + scan" `Quick rocksdb_bulk_load_and_scan;
           Alcotest.test_case "missing key" `Quick rocksdb_missing_key;
+          Alcotest.test_case "empty key rejected" `Quick rocksdb_rejects_empty_key;
+          Alcotest.test_case "oversized record rejected" `Quick rocksdb_rejects_oversized;
+          Alcotest.test_case "failed flush releases the write lock" `Quick
+            rocksdb_failed_flush_releases_lock;
         ] );
       ( "iterators",
         [
