@@ -72,7 +72,6 @@ let policy_arg =
               cycles, so results differ in virtual time as well as hit \
               rate.")
 
-(* Same flag names and spec syntax as bench/main.exe. *)
 let fault_plan_arg =
   Arg.(
     value
@@ -92,19 +91,27 @@ let crash_at_arg =
               'crash=$(docv)' in $(b,--fault-plan)); the run reports the \
               cut and discards volatile state.")
 
+(* The fault plan of --fault-plan and --crash-at, or a message naming
+   the malformed flag. *)
 let fault_spec_of plan crash_at =
-  let base =
-    match plan with
-    | None -> Ok Fault.Plan.default
-    | Some s -> Fault.Plan.parse s
-  in
-  Result.map
-    (fun spec ->
-      match crash_at with
-      | None ->
-          if plan = None then None else Some spec
-      | Some at -> Some { spec with Fault.Plan.crash_at = Some at })
-    base
+  match (plan, crash_at) with
+  | _, Some at when at < 0 ->
+      Error (Printf.sprintf "--crash-at: must be >= 0, got %d" at)
+  | None, None -> Ok None
+  | _ ->
+      let base =
+        match plan with
+        | None -> Ok Fault.Plan.default
+        | Some s ->
+            Result.map_error (fun msg -> "--fault-plan: " ^ msg)
+              (Fault.Plan.parse s)
+      in
+      Result.map
+        (fun spec ->
+          match crash_at with
+          | None -> Some spec
+          | Some at -> Some { spec with Fault.Plan.crash_at = Some at })
+        base
 
 let shards_arg =
   Arg.(
@@ -143,7 +150,7 @@ let run_cmd =
       metrics_out =
     match (resolve id, fault_spec_of plan crash_at) with
     | Error msg, _ -> `Error (false, msg)
-    | _, Error msg -> `Error (true, "--fault-plan: " ^ msg)
+    | _, Error msg -> `Error (true, msg)
     | Ok _, _ when jobs < 1 -> `Error (true, "--jobs must be >= 1")
     | Ok _, _ when shards < 1 -> `Error (true, "--shards must be >= 1")
     | Ok entries, Ok fault ->
@@ -290,7 +297,7 @@ let faultcheck_cmd =
       `Error (true, "--seeds and --points must be >= 1")
     else
       match fault_spec_of plan crash_at with
-      | Error msg -> `Error (true, "--fault-plan: " ^ msg)
+      | Error msg -> `Error (true, msg)
       | Ok fault ->
           let spec = Option.value fault ~default:Fault.Plan.default in
           let seeds = List.init seeds (fun i -> i + 1) in
@@ -543,7 +550,7 @@ let loadtest_cmd =
     match (Loadgen.Arrival.shape_of_string process, fault_spec_of plan crash_at)
     with
     | Error msg, _ -> `Error (true, "--process: " ^ msg)
-    | _, Error msg -> `Error (true, "--fault-plan: " ^ msg)
+    | _, Error msg -> `Error (true, msg)
     | Ok _, _ when jobs < 1 -> `Error (true, "--jobs must be >= 1")
     | Ok _, _ when horizon <= 0 -> `Error (true, "--horizon must be > 0")
     | Ok _, _ when workers < 1 -> `Error (true, "--workers must be >= 1")
@@ -644,7 +651,7 @@ let report_cmd =
       families profile sample_period timeseries ts_period =
     match (resolve id, fault_spec_of plan crash_at) with
     | Error msg, _ -> `Error (false, msg)
-    | _, Error msg -> `Error (true, "--fault-plan: " ^ msg)
+    | _, Error msg -> `Error (true, msg)
     | Ok _, _ when jobs < 1 -> `Error (true, "--jobs must be >= 1")
     | Ok _, _ when shards < 1 -> `Error (true, "--shards must be >= 1")
     | Ok _, _ when sample_period <= 0 || ts_period <= 0 ->

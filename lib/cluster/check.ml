@@ -38,9 +38,9 @@ let merge a b =
   }
 
 let pp_report ppf r =
-  Fmt.pf ppf "clustercheck: %d combos, %d crashed, %d violations@." r.combos
+  Format.fprintf ppf "clustercheck: %d combos, %d crashed, %d violations@." r.combos
     r.crashes (List.length r.violations);
-  List.iter (fun v -> Fmt.pf ppf "  VIOLATION %s@." v) r.violations
+  List.iter (fun v -> Format.fprintf ppf "  VIOLATION %s@." v) r.violations
 
 (* ---- workload ---- *)
 

@@ -1,4 +1,5 @@
-(* Ablation benches for the design choices DESIGN.md §5 calls out. *)
+(* Ablation benches for the design choices DESIGN.md §5 calls out, and
+   sensitivity sweeps beyond the paper's fixed configurations. *)
 
 let dataset_pages = 25600
 let frames = 2048
@@ -7,17 +8,16 @@ let threads = 16
 let micro ~tweak ~title_row =
   let eng = Sim.Engine.create () in
   let sys =
-    Experiments.Microbench.Aq
-      (Experiments.Scenario.make_aquila ~tweak ~frames ~dev:Experiments.Scenario.Pmem ())
+    Microbench.Aq (Scenario.make_aquila ~tweak ~frames ~dev:Scenario.Pmem ())
   in
   let r =
-    Experiments.Microbench.run ~eng ~sys ~file_pages:dataset_pages ~shared:true
+    Microbench.run ~eng ~sys ~file_pages:dataset_pages ~shared:true
       ~threads ~ops_per_thread:3000 ~write_fraction:0.3 ()
   in
   [
     title_row;
-    Stats.Table_fmt.ops_per_sec r.Experiments.Microbench.throughput_ops_s;
-    string_of_int r.Experiments.Microbench.evictions;
+    Stats.Table_fmt.ops_per_sec r.Microbench.throughput_ops_s;
+    string_of_int r.Microbench.evictions;
     Printf.sprintf "%d" (Hw.Ipi.shootdowns_sent ());
   ]
 
@@ -54,18 +54,18 @@ let memcpy () =
   let run simd =
     let eng = Sim.Engine.create () in
     let stack =
-      Experiments.Scenario.make_aquila_access ~frames:4096
+      Scenario.make_aquila_access ~frames:4096
         ~access:(fun costs _ ->
           Sdevice.Access.dax_pmem costs ~simd (Sdevice.Pmem.create ()))
         ()
     in
-    let sys = Experiments.Microbench.Aq stack in
+    let sys = Microbench.Aq stack in
     let r =
-      Experiments.Microbench.run ~eng ~sys ~file_pages:3000 ~shared:true ~threads:1
-        ~ops_per_thread:3000 ~pattern:Experiments.Microbench.Permutation ()
+      Microbench.run ~eng ~sys ~file_pages:3000 ~shared:true ~threads:1
+        ~ops_per_thread:3000 ~pattern:Microbench.Permutation ()
     in
-    Int64.to_float r.Experiments.Microbench.elapsed_cycles
-    /. float_of_int (max 1 r.Experiments.Microbench.faults)
+    Int64.to_float r.Microbench.elapsed_cycles
+    /. float_of_int (max 1 r.Microbench.faults)
   in
   let simd = run true and scalar = run false in
   Stats.Table_fmt.print_table
@@ -82,28 +82,28 @@ let readahead () =
      madvise(SEQUENTIAL) readahead window *)
   let run advice =
     let eng = Sim.Engine.create () in
-    let s = Experiments.Scenario.make_aquila ~frames:4096 ~dev:Experiments.Scenario.Nvme () in
+    let s = Scenario.make_aquila ~frames:4096 ~dev:Scenario.Nvme () in
     let pages = 3000 in
     let cycles = ref 0L in
     ignore
       (Sim.Engine.spawn eng ~core:0 (fun () ->
-           Aquila.Context.enter_thread s.Experiments.Scenario.a_ctx;
+           Aquila.Context.enter_thread s.Scenario.a_ctx;
            let blob =
-             Blobstore.Store.create_blob s.Experiments.Scenario.a_store ~name:"seq"
+             Blobstore.Store.create_blob s.Scenario.a_store ~name:"seq"
                ~pages ()
            in
            let f =
-             Aquila.Context.attach_file s.Experiments.Scenario.a_ctx ~name:"seq"
-               ~access:s.Experiments.Scenario.a_access
+             Aquila.Context.attach_file s.Scenario.a_ctx ~name:"seq"
+               ~access:s.Scenario.a_access
                ~translate:(fun p ->
                  if p < pages then Some (Blobstore.Store.device_page blob p) else None)
                ~size_pages:pages
            in
-           let r = Aquila.Context.mmap s.Experiments.Scenario.a_ctx f ~npages:pages () in
-           Aquila.Context.madvise s.Experiments.Scenario.a_ctx r advice;
+           let r = Aquila.Context.mmap s.Scenario.a_ctx f ~npages:pages () in
+           Aquila.Context.madvise s.Scenario.a_ctx r advice;
            let t0 = Sim.Engine.now_f () in
            for p = 0 to pages - 1 do
-             Aquila.Context.touch s.Experiments.Scenario.a_ctx r ~page:p ~write:false
+             Aquila.Context.touch s.Scenario.a_ctx r ~page:p ~write:false
            done;
            cycles := Int64.sub (Sim.Engine.now_f ()) t0));
     Sim.Engine.run eng;
@@ -123,14 +123,14 @@ let readahead () =
 let uring () =
   let cost access_of =
     let eng = Sim.Engine.create () in
-    let stack = Experiments.Scenario.make_aquila_access ~frames:4096 ~access:access_of () in
-    let sys = Experiments.Microbench.Aq stack in
+    let stack = Scenario.make_aquila_access ~frames:4096 ~access:access_of () in
+    let sys = Microbench.Aq stack in
     let r =
-      Experiments.Microbench.run ~eng ~sys ~file_pages:3000 ~shared:true ~threads:1
-        ~ops_per_thread:3000 ~pattern:Experiments.Microbench.Permutation ()
+      Microbench.run ~eng ~sys ~file_pages:3000 ~shared:true ~threads:1
+        ~ops_per_thread:3000 ~pattern:Microbench.Permutation ()
     in
-    Int64.to_float r.Experiments.Microbench.elapsed_cycles
-    /. float_of_int (max 1 r.Experiments.Microbench.faults)
+    Int64.to_float r.Microbench.elapsed_cycles
+    /. float_of_int (max 1 r.Microbench.faults)
   in
   let spdk = cost (fun c _ -> Sdevice.Access.spdk_nvme c (Sdevice.Nvme.create ())) in
   let uring =
@@ -155,17 +155,66 @@ let uring () =
         Stats.Table_fmt.speedup (host /. spdk) ];
     ]
 
-(* Exposed as fan-out jobs so bench/main can spread them over domains;
-   each job is self-contained (tlb_and_batching resets the domain-local
-   IPI counters itself). *)
-let jobs =
-  [
-    Experiments.Fanout.job ~name:"ablation-policy"
-      Experiments.Policy_ablation.run;
-    Experiments.Fanout.job ~name:"ablation-tlb-batching" tlb_and_batching;
-    Experiments.Fanout.job ~name:"ablation-memcpy" memcpy;
-    Experiments.Fanout.job ~name:"ablation-readahead" readahead;
-    Experiments.Fanout.job ~name:"ablation-uring" uring;
-  ]
+(* ---- sweeps: how the Aquila-vs-Linux gap moves with cache size, and
+   how Aquila's eviction batch behaves across its range ---- *)
 
-let run_all () = Experiments.Fanout.run ~jobs:1 jobs
+let sweep_pages = 12800
+
+let cache_size_sweep () =
+  (* out-of-memory random reads, 16 threads, shared file; sweep the
+     cache:dataset ratio *)
+  let run aquila frames =
+    let eng = Sim.Engine.create () in
+    let sys =
+      if aquila then
+        Microbench.Aq (Scenario.make_aquila ~frames ~dev:Scenario.Pmem ())
+      else
+        Microbench.Lx
+          (Scenario.make_linux ~readahead:1 ~frames ~dev:Scenario.Pmem ())
+    in
+    (Microbench.run ~eng ~sys ~file_pages:sweep_pages ~shared:true
+       ~threads:16 ~ops_per_thread:2500 ())
+      .Microbench.throughput_ops_s
+  in
+  let rows =
+    List.map
+      (fun denom ->
+        let frames = sweep_pages / denom in
+        let lx = run false frames and aq = run true frames in
+        [
+          Printf.sprintf "1/%d" denom;
+          Stats.Table_fmt.ops_per_sec lx;
+          Stats.Table_fmt.ops_per_sec aq;
+          Stats.Table_fmt.speedup (aq /. lx);
+        ])
+      [ 16; 8; 4; 2 ]
+  in
+  Stats.Table_fmt.print_table
+    ~title:
+      "Sweep: cache size vs dataset (random reads, 16 threads, shared file, pmem)"
+    ~header:[ "cache:dataset"; "Linux mmap"; "Aquila"; "speedup" ]
+    rows
+
+let evict_batch_sweep () =
+  let run batch =
+    let eng = Sim.Engine.create () in
+    let sys =
+      Microbench.Aq
+        (Scenario.make_aquila
+           ~tweak:(fun c -> { c with Mcache.Dram_cache.evict_batch = batch })
+           ~frames:2048 ~dev:Scenario.Pmem ())
+    in
+    (Microbench.run ~eng ~sys ~file_pages:sweep_pages ~shared:true
+       ~threads:16 ~ops_per_thread:2500 ~write_fraction:0.3 ())
+      .Microbench.throughput_ops_s
+  in
+  let rows =
+    List.map
+      (fun b -> [ string_of_int b; Stats.Table_fmt.ops_per_sec (run b) ])
+      [ 1; 8; 32; 128; 512 ]
+  in
+  Stats.Table_fmt.print_table
+    ~title:
+      "Sweep: eviction/shootdown batch size (cache 2048 frames; too-large \
+       batches degrade victim quality, too-small ones lose amortization)"
+    ~header:[ "batch"; "throughput" ] rows

@@ -21,7 +21,13 @@ let thread_counts = [ 1; 8; 16 ]
 let frames_small = heap_pages / 8
 let frames_large = heap_pages / 4
 
-let graph = lazy (Ligra.Rmat.generate ~seed:12 ~n:n_vertices ~m:n_edges ())
+(* Generated once and shared read-only by every run.  fig6a/b/c may run
+   on different domains (--jobs), and a lazy value forced by two domains
+   at once raises Lazy.Undefined, so the first force holds a lock. *)
+let graph =
+  let g = lazy (Ligra.Rmat.generate ~seed:12 ~n:n_vertices ~m:n_edges ())
+  and lock = Mutex.create () in
+  fun () -> Mutex.protect lock (fun () -> Lazy.force g)
 
 type cfgkind = Dram_only | Mmap_pmem | Mmap_nvme | Aquila_pmem | Aquila_nvme
 
@@ -41,7 +47,7 @@ type run_out = {
 
 let run_one ~cfg ~frames ~threads =
   let eng = Sim.Engine.create () in
-  let g = Lazy.force graph in
+  let g = graph () in
   let surface_ref = ref None in
   (* surfaces must be created inside a fiber (mmap charges costs) *)
   ignore

@@ -2,8 +2,8 @@
     ([Sim.Shard]): per-core Aquila stacks running a fig5-style
     out-of-memory page-fault loop (zipf touches, evictions, pmem I/O),
     plus a ring of posted IPIs that crosses shard boundaries through
-    [Shard.post].  Used by [bench/engine_perf] for the 1/2/4/8-shard
-    scaling curve (BENCH_pdes.json).
+    [Shard.post].  Used by the pdes section of [bench/run.exe] for the
+    1/2/4/8-shard scaling curve.
 
     All virtual-time outcomes ([events], [final_cycles], [windows]) are
     invariant across shard counts and across deterministic vs

@@ -54,10 +54,10 @@ val sweep :
 val print_rows : row list -> unit
 (** Table via {!Sim.Sink} (fan-out- and capture-friendly). *)
 
-val json_string : row list -> string
-(** Flat [{"workload.policy.metric": number}] JSON for BENCH_mcache.json;
-    keys ending in [".wall"] are wall-clock-derived and excluded from the
-    CI regression gate. *)
+val leaves : row list -> (string * string) list
+(** [("workload.policy.metric", number)] pairs, the number already
+    rendered as JSON, for the mcache section of bench/run's BENCH.json;
+    keys ending in [".wall"] are wall-clock-derived and never gated. *)
 
 val run : unit -> unit
-(** [sweep] + [print_rows] with defaults (the bench/ablations job). *)
+(** [sweep] + [print_rows] with defaults (registry id [ablation-policy]). *)

@@ -52,6 +52,43 @@ let all =
       title = "Open-loop latency vs offered load (hockey stick), per backend";
       run = Openloop.run;
     };
+    (* Ablations (DESIGN.md section 5) and sensitivity sweeps beyond the
+       paper's fixed points. *)
+    {
+      id = "ablation-policy";
+      title = "Replacement policies";
+      run = Policy_ablation.run;
+    };
+    {
+      id = "ablation-tlb-batching";
+      title = "TLB shootdown and batching";
+      run = Ablations.tlb_and_batching;
+    };
+    {
+      id = "ablation-memcpy";
+      title = "AVX2 streaming memcpy vs scalar";
+      run = Ablations.memcpy;
+    };
+    {
+      id = "ablation-readahead";
+      title = "madvise-driven readahead, sequential scan of 3000 pages";
+      run = Ablations.readahead;
+    };
+    {
+      id = "ablation-uring";
+      title = "io_uring as the miss-path access method";
+      run = Ablations.uring;
+    };
+    {
+      id = "sweep-cache-size";
+      title = "Cache size vs dataset";
+      run = Ablations.cache_size_sweep;
+    };
+    {
+      id = "sweep-evict-batch";
+      title = "Eviction/shootdown batch size";
+      run = Ablations.evict_batch_sweep;
+    };
   ]
 
 let find id = List.find_opt (fun e -> e.id = id) all
@@ -72,7 +109,3 @@ let run_selected ?(jobs = 1) ?fault entries =
              Sim.Sink.printf "\n### %s: %s\n" e.id e.title;
              e.run ()))
        entries)
-
-let run_all ?jobs ?fault () =
-  Sim.Sink.printf "Aquila reproduction — %s\n" Scenario.scale_note;
-  run_selected ?jobs ?fault all

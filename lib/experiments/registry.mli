@@ -1,5 +1,6 @@
 (** Experiment registry: every table and figure of the paper's evaluation,
-    addressable by id for the CLI and the benchmark harness. *)
+    plus the ablations and sensitivity sweeps, addressable by id for the
+    CLI. *)
 
 type entry = {
   id : string;  (** e.g. "fig8a" *)
@@ -9,7 +10,9 @@ type entry = {
 
 val all : entry list
 (** In paper order: table1, fig5a, fig5b, fig6a, fig6b, fig6c, fig7,
-    fig8a, fig8b, fig8c, fig9, fig10a, fig10b. *)
+    fig8a, fig8b, fig8c, fig9, fig10a, fig10b; then the shard-partitioned,
+    cluster and open-loop experiments, the [ablation-*] entries and the
+    [sweep-*] entries. *)
 
 val find : string -> entry option
 
@@ -23,6 +26,3 @@ val run_selected : ?jobs:int -> ?fault:Fault.Plan.spec -> entry list -> unit
     header) on up to [jobs] domains via {!Fanout.run}; output is printed
     in entry order and is byte-identical to a sequential run.  [fault]
     injects faults from a per-job fresh plan (see {!Fanout.run}). *)
-
-val run_all : ?jobs:int -> ?fault:Fault.Plan.spec -> unit -> unit
-(** Runs every experiment, with the scale note printed once up front. *)

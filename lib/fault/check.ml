@@ -29,9 +29,9 @@ type report = {
 let ok r = r.violations = []
 
 let pp_report ppf r =
-  Fmt.pf ppf "faultcheck: %d combos, %d crashed, %d violations@." r.combos
+  Format.fprintf ppf "faultcheck: %d combos, %d crashed, %d violations@." r.combos
     r.crashes (List.length r.violations);
-  List.iter (fun v -> Fmt.pf ppf "  VIOLATION %s@." v) r.violations
+  List.iter (fun v -> Format.fprintf ppf "  VIOLATION %s@." v) r.violations
 
 (* ---- micro: versioned full-page writes over NVMe ---- *)
 

@@ -12,8 +12,9 @@
     installs its own plan built from the same spec.
 
     With no plan installed anywhere, every hook reduces to one atomic
-    load and branch ([Atomic.get live_plans = 0]); [bench/fault_smoke]
-    gates that cost at <1% of the engine_perf fault loop. *)
+    load and branch ([Atomic.get live_plans = 0]); the overhead section
+    of [bench/run.exe] gates that cost at <1% of the engine's fault
+    loop. *)
 
 type error =
   | Transient  (** retryable: the next attempt may succeed *)

@@ -37,8 +37,8 @@ let json_escape s =
     s;
   Buffer.contents b
 
-(* "name" or "name{k=v,k2=v2}" — no dots, so bench/perf_gate sees the
-   whole key as one gateable leaf. *)
+(* "name" or "name{k=v,k2=v2}" — no dots, so the perf gate of
+   bench/run.exe sees the whole key as one gateable leaf. *)
 let key ?(suffix = "") (s : Registry.sample) =
   match s.s_labels with
   | [] -> s.s_name ^ suffix

@@ -1,7 +1,8 @@
 (** Exporters over {!Registry.snapshot} — Prometheus-style text
     exposition and a flat JSON snapshot whose keys are gate-friendly
     (["name"] or ["name{k=v,...}"], never containing a dot, so
-    [bench/perf_gate] treats each whole key as one leaf). *)
+    the perf gate of [bench/run.exe] treats each whole key as one
+    leaf). *)
 
 val csv_field : string -> string
 (** RFC 4180 CSV escaping: quotes the field iff it contains a comma,

@@ -86,8 +86,8 @@ val create : ?seed:int -> ?fastpath:bool -> unit -> t
     one event queue ordered by [(time, seq)].  [seed] (default 42) seeds
     the engine-wide RNG.  [fastpath] (default [true]) enables the delay
     fast path; disabling it forces every event through the queue — same
-    results, slower, used by [bench/engine_perf] to measure the fast
-    path's win.  Parallelism lives one level up: a {!Shard} cluster runs
+    results, slower, used by [bench/run.exe] to measure the fast path's
+    win.  Parallelism lives one level up: a {!Shard} cluster runs
     one engine per shard (DESIGN.md §9). *)
 
 val now : t -> int64

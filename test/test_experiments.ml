@@ -11,7 +11,9 @@ let registry_complete () =
       Alcotest.(check bool) (id ^ " present") true (List.mem id ids))
     [
       "table1"; "fig5a"; "fig5b"; "fig6a"; "fig6b"; "fig6c"; "fig7"; "fig8a";
-      "fig8b"; "fig8c"; "fig9"; "fig10a"; "fig10b";
+      "fig8b"; "fig8c"; "fig9"; "fig10a"; "fig10b"; "ablation-policy";
+      "ablation-tlb-batching"; "ablation-memcpy"; "ablation-readahead";
+      "ablation-uring"; "sweep-cache-size"; "sweep-evict-batch";
     ];
   checki "no duplicates" (List.length ids)
     (List.length (List.sort_uniq compare ids));
@@ -127,6 +129,15 @@ let capture_stdout f =
   Sys.remove tmp;
   s
 
+(* fig6a/b/c force the shared graph from whichever domains --jobs gives
+   them; concurrent first forces must neither raise nor build two. *)
+let fig6_graph_shared_across_domains () =
+  let spawn _ = Domain.spawn Experiments.Fig6.graph in
+  match List.map Domain.join (List.init 3 spawn) with
+  | g :: rest ->
+      List.iter (fun g' -> Alcotest.(check bool) "one graph" true (g == g')) rest
+  | [] -> assert false
+
 let policy_ablation_jobs_parity () =
   (* Every policy must produce byte-identical run output whether the two
      ablation workloads run sequentially or on two domains: virtual
@@ -182,7 +193,11 @@ let () =
           Alcotest.test_case "fault accounting" `Quick microbench_counts_faults;
         ] );
       ( "figures",
-        [ Alcotest.test_case "fig8c ordering" `Quick fig8c_access_method_ordering ] );
+        [
+          Alcotest.test_case "fig8c ordering" `Quick fig8c_access_method_ordering;
+          Alcotest.test_case "fig6 graph shared across domains" `Quick
+            fig6_graph_shared_across_domains;
+        ] );
       ( "scenario",
         [ Alcotest.test_case "independence" `Quick scenario_stacks_are_independent ] );
       ( "policy ablation",
