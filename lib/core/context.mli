@@ -104,9 +104,10 @@ val read : t -> region -> off:int -> len:int -> dst:Bytes.t -> unit
     [dst] (starting at 0), faulting pages in as needed.  Only mmio costs
     are charged — the caller models its own compute on the data. *)
 
-val write : t -> region -> off:int -> src:Bytes.t -> unit
-(** [write t r ~off ~src] stores all of [src] at region offset [off],
-    write-faulting pages (dirty tracking) as needed. *)
+val write : ?len:int -> t -> region -> off:int -> src:Bytes.t -> unit
+(** [write t r ~off ~src] stores the first [len] bytes of [src] (default
+    all of them) at region offset [off], write-faulting pages (dirty
+    tracking) as needed. *)
 
 val resize_cache : t -> frames:int -> unit
 (** [resize_cache t ~frames] grows or shrinks the DRAM cache to [frames]

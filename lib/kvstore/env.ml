@@ -1,15 +1,20 @@
 
 type file = {
   fread : off:int -> len:int -> dst:Bytes.t -> unit;
-  fwrite : off:int -> src:Bytes.t -> unit;
+  fwrite : off:int -> len:int -> src:Bytes.t -> unit;
   fsync : unit -> unit;
   fdelete : unit -> unit;
   fsize : int;
 }
 
-type t = { ename : string; mk : name:string -> size_pages:int -> file }
+type t = {
+  ename : string;
+  mk : name:string -> size_pages:int -> file;
+  staging : Sdevice.Bufpool.pages;
+}
 
 let name t = t.ename
+let staging t = t.staging
 let create_file t ~name ~size_pages = t.mk ~name ~size_pages
 let read f = f.fread
 let write f = f.fwrite
@@ -23,6 +28,7 @@ let translate_of blob p =
   else None
 
 let direct_ucache ~store ~costs ~device_access ~ucache =
+  let staging = Sdevice.Bufpool.pages () in
   let next_id = ref 100000 (* distinct from mmio context fids *) in
   let mk ~name ~size_pages =
     ignore name;
@@ -31,13 +37,14 @@ let direct_ucache ~store ~costs ~device_access ~ucache =
     let file_id = !next_id in
     let fd =
       Linux_sim.Readwrite.open_direct ~costs ~access:device_access
-        ~translate:(translate_of blob) ~size_pages
+        ~translate:(translate_of blob) ~size_pages ~staging
     in
     Uspace.User_cache.register_file ucache ~file_id ~fd;
     {
       fread =
         (fun ~off ~len ~dst -> Uspace.User_cache.read ucache ~file_id ~off ~len ~dst);
-      fwrite = (fun ~off ~src -> Uspace.User_cache.write ucache ~file_id ~off ~src);
+      fwrite =
+        (fun ~off ~len ~src -> Uspace.User_cache.write ~len ucache ~file_id ~off ~src);
       fsync = (fun () -> () (* O_DIRECT writes are already on the device *));
       fdelete =
         (fun () ->
@@ -46,7 +53,7 @@ let direct_ucache ~store ~costs ~device_access ~ucache =
       fsize = size_pages;
     }
   in
-  { ename = "read/write"; mk }
+  { ename = "read/write"; mk; staging }
 
 let linux_mmap ~store ~msys ~device_access =
   let mk ~name ~size_pages =
@@ -58,7 +65,7 @@ let linux_mmap ~store ~msys ~device_access =
     let region = Linux_sim.Mmap_sys.mmap msys lf ~npages:size_pages () in
     {
       fread = (fun ~off ~len ~dst -> Linux_sim.Mmap_sys.read msys region ~off ~len ~dst);
-      fwrite = (fun ~off ~src -> Linux_sim.Mmap_sys.write msys region ~off ~src);
+      fwrite = (fun ~off ~len ~src -> Linux_sim.Mmap_sys.write ~len msys region ~off ~src);
       fsync = (fun () -> Linux_sim.Mmap_sys.msync msys region);
       fdelete =
         (fun () ->
@@ -71,7 +78,7 @@ let linux_mmap ~store ~msys ~device_access =
       fsize = size_pages;
     }
   in
-  { ename = "mmap"; mk }
+  { ename = "mmap"; mk; staging = Sdevice.Bufpool.pages () }
 
 let aquila ~store ~ctx ~device_access =
   let mk ~name ~size_pages =
@@ -83,7 +90,7 @@ let aquila ~store ~ctx ~device_access =
     let region = Aquila.Context.mmap ctx af ~npages:size_pages () in
     {
       fread = (fun ~off ~len ~dst -> Aquila.Context.read ctx region ~off ~len ~dst);
-      fwrite = (fun ~off ~src -> Aquila.Context.write ctx region ~off ~src);
+      fwrite = (fun ~off ~len ~src -> Aquila.Context.write ~len ctx region ~off ~src);
       fsync = (fun () -> Aquila.Context.msync ctx region);
       fdelete =
         (fun () ->
@@ -95,4 +102,4 @@ let aquila ~store ~ctx ~device_access =
       fsize = size_pages;
     }
   in
-  { ename = "aquila"; mk }
+  { ename = "aquila"; mk; staging = Sdevice.Bufpool.pages () }

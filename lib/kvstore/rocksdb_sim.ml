@@ -32,7 +32,7 @@ type t = {
   wal_buf : Bytes.t;
   mutable wal_pos : int;
   wlock : Sim.Sync.Mutex.t;
-  mutable scratch : Sst.scratch list; (* probe buffers no get holds *)
+  scratch : Sst.scratch Sdevice.Bufpool.t; (* probe buffers *)
 }
 
 let wal_pages = 256
@@ -51,7 +51,7 @@ let create env ?(config = default_config) () =
     wal_buf = Bytes.make psz '\000';
     wal_pos = 0;
     wlock = Sim.Sync.Mutex.create ~name:"rocksdb-write" ();
-    scratch = [];
+    scratch = Sdevice.Bufpool.create Sst.scratch;
   }
 
 (* records per SST at the configured target size: data pages hold ~3
@@ -70,7 +70,7 @@ let wal_append t k v =
   let rec_len = 6 + String.length k + String.length v in
   if t.wal_pos + rec_len > psz then begin
     (* flush the WAL page (group commit) *)
-    Env.write t.wal ~off:(t.wal_page * psz) ~src:t.wal_buf;
+    Env.write t.wal ~off:(t.wal_page * psz) ~len:psz ~src:t.wal_buf;
     t.wal_page <- (t.wal_page + 1) mod wal_pages;
     Bytes.fill t.wal_buf 0 psz '\000';
     t.wal_pos <- 0
@@ -264,23 +264,11 @@ let get t key =
       in
       match imm_hit with
       | Some v -> Some v
-      | None -> (
+      | None ->
           (* lend the probe a buffer of its own: SST reads suspend, so
              concurrent gets must not share one *)
-          let scratch =
-            match t.scratch with
-            | s :: rest ->
-                t.scratch <- rest;
-                s
-            | [] -> Sst.scratch ()
-          in
-          match get_from_levels t ~scratch key with
-          | v ->
-              t.scratch <- scratch :: t.scratch;
-              v
-          | exception e ->
-              t.scratch <- scratch :: t.scratch;
-              raise e))
+          Sdevice.Bufpool.with_ t.scratch (fun scratch ->
+              get_from_levels t ~scratch key))
 
 (* Lazy concatenation over a sorted, disjoint level: open one SST cursor
    at a time, in key order, starting from the first that may hold

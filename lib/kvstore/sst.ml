@@ -2,6 +2,7 @@ let psz = Hw.Defs.page_size
 
 type t = {
   file : Env.file;
+  staging : Sdevice.Bufpool.pages; (* the environment's *)
   sname : string;
   fkey : string;
   lkey : string;
@@ -58,33 +59,45 @@ let build env ~name records =
         if pos = 0 then index_len := !index_len + header + String.length k)
   in
   let nindex = pages_for !index_len in
-  let data = Bytes.make (ndata * psz) '\000' in
-  let index = Bytes.make (nindex * psz) '\000' in
-  let ipos = ref 0 in
-  ignore
-    (pack records (fun block pos k v ->
-         if pos = 0 then begin
-           put_entry index !ipos k block;
-           ipos := !ipos + header + String.length k
-         end;
-         let at = (block * psz) + pos in
-         put_entry data at k (String.length v);
-         Bytes.blit_string v 0 data (at + header + String.length k) (String.length v)));
   let nrecs = List.length records in
   let bloom = Bloom.create ~expected_keys:nrecs in
   List.iter (fun (k, _) -> Bloom.add bloom k) records;
-  let bloom_ser = Bloom.serialize bloom in
-  let nbloom = pages_for (Bytes.length bloom_ser) in
-  let bloom_bytes = Bytes.make (nbloom * psz) '\000' in
-  Bytes.blit bloom_ser 0 bloom_bytes 0 (Bytes.length bloom_ser);
+  let filter = Bloom.serialize bloom in
+  let nbloom = pages_for (Bytes.length filter) in
   let total = ndata + nindex + nbloom in
   let file = Env.create_file env ~name ~size_pages:total in
-  Env.write file ~off:0 ~src:data;
-  Env.write file ~off:(ndata * psz) ~src:index;
-  Env.write file ~off:((ndata + nindex) * psz) ~src:bloom_bytes;
+  let staging = Env.staging env in
+  (* Each area is staged in a pooled buffer that is zeroed over the area
+     first: a reused buffer holds its last SST's bytes, and block tails,
+     the index's end and the filter's tail must read as zero. *)
+  let zeroed pages f =
+    Sdevice.Bufpool.with_pages staging pages (fun b ->
+        Bytes.fill b 0 (pages * psz) '\000';
+        f b)
+  in
+  let write page0 pages b = Env.write file ~off:(page0 * psz) ~len:(pages * psz) ~src:b in
+  zeroed ndata (fun data ->
+      zeroed nindex (fun index ->
+          let ipos = ref 0 in
+          ignore
+            (pack records (fun block pos k v ->
+                 if pos = 0 then begin
+                   put_entry index !ipos k block;
+                   ipos := !ipos + header + String.length k
+                 end;
+                 let at = (block * psz) + pos in
+                 put_entry data at k (String.length v);
+                 Bytes.blit_string v 0 data (at + header + String.length k)
+                   (String.length v)));
+          write 0 ndata data;
+          write ndata nindex index));
+  zeroed nbloom (fun b ->
+      Bytes.blit filter 0 b 0 (Bytes.length filter);
+      write (ndata + nindex) nbloom b);
   Env.sync file;
   {
     file;
+    staging;
     sname = name;
     fkey = fst (List.hd records);
     lkey = fst (List.nth records (nrecs - 1));
@@ -200,21 +213,23 @@ let locate_start_block t ~scratch start =
   Option.value block ~default:0
 
 let iter_from t ~start ~f =
-  let s = scratch () in
-  let stop = ref false in
-  let block = ref (locate_start_block t ~scratch:s start) in
-  while (not !stop) && !block < t.ndata do
-    let b = read_block t s !block in
-    Kv_costs.(charge "kv_scan_block" block_scan);
-    iter_block b (fun kpos klen vlen ->
-        compare_at b kpos klen start < 0
-        || f (Bytes.sub_string b kpos klen) (Bytes.sub_string b (kpos + klen) vlen)
-        || begin
-             stop := true;
-             false
-           end);
-    incr block
-  done
+  (* the index is the largest read: the buffer never needs to grow *)
+  Sdevice.Bufpool.with_pages t.staging t.nindex (fun buf ->
+      let s = { buf; offs = [||] } in
+      let stop = ref false in
+      let block = ref (locate_start_block t ~scratch:s start) in
+      while (not !stop) && !block < t.ndata do
+        let b = read_block t s !block in
+        Kv_costs.(charge "kv_scan_block" block_scan);
+        iter_block b (fun kpos klen vlen ->
+            compare_at b kpos klen start < 0
+            || f (Bytes.sub_string b kpos klen) (Bytes.sub_string b (kpos + klen) vlen)
+            || begin
+                 stop := true;
+                 false
+               end);
+        incr block
+      done)
 
 let read_block_records t ~scratch b =
   if b < 0 || b >= t.ndata then invalid_arg "Sst.read_block_records";

@@ -196,8 +196,9 @@ let read t region ~off ~len ~dst =
   done;
   Sim.Costbuf.charge buf
 
-let write t region ~off ~src =
-  let len = Bytes.length src in
+let write ?len t region ~off ~src =
+  let len = Option.value len ~default:(Bytes.length src) in
+  if len > Bytes.length src then invalid_arg "Mmap_sys.write: src too small";
   if off < 0 || off + len > region.r_area.npages * psz then
     invalid_arg "Mmap_sys.write: range outside region";
   let buf = Sim.Costbuf.create () in

@@ -52,7 +52,9 @@ val touch_buf : t -> region -> page:int -> write:bool -> buf:Sim.Costbuf.t -> un
 (** Batched-charging variant of {!touch} (see {!Aquila.Context.touch_buf}). *)
 
 val read : t -> region -> off:int -> len:int -> dst:Bytes.t -> unit
-val write : t -> region -> off:int -> src:Bytes.t -> unit
+val write : ?len:int -> t -> region -> off:int -> src:Bytes.t -> unit
+(** [write t r ~off ~src] stores the first [len] bytes of [src] (default
+    all of them) at region offset [off]. *)
 
 val accesses : t -> int
 val faults : t -> int

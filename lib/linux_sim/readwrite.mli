@@ -15,10 +15,13 @@ val open_direct :
   access:Sdevice.Access.t ->
   translate:(int -> int option) ->
   size_pages:int ->
+  staging:Sdevice.Bufpool.pages ->
   fd
-(** [open_direct ~costs ~access ~translate ~size_pages] wraps a file for
-    direct I/O.  [access] should be a host path ([From_user] entry) so the
-    syscall cost is charged per request. *)
+(** [open_direct ~costs ~access ~translate ~size_pages ~staging] wraps a
+    file for direct I/O.  [access] should be a host path ([From_user]
+    entry) so the syscall cost is charged per request.  Each request
+    stages its pages in a buffer from [staging], the free list of
+    whoever opened the file. *)
 
 val open_buffered : pc:Page_cache.t -> file_id:int -> size_pages:int -> fd
 (** Buffered I/O through an existing page cache in which [file_id] is
@@ -31,7 +34,9 @@ val pread : fd -> off:int -> len:int -> dst:Bytes.t -> unit
     mode rounds to page-aligned device requests, as [O_DIRECT] requires.
     Must run inside a fiber. *)
 
-val pwrite : fd -> off:int -> src:Bytes.t -> unit
+val pwrite : ?len:int -> fd -> off:int -> src:Bytes.t -> unit
+(** [pwrite fd ~off ~src] writes the first [len] bytes of [src] (default
+    all of them) at file byte [off]. *)
 
 val reads : fd -> int
 val writes : fd -> int

@@ -25,6 +25,7 @@ type t = {
   cfg : config;
   shard_arr : shard array;
   files : (int, Linux_sim.Readwrite.fd) Hashtbl.t;
+  staging : Sdevice.Bufpool.pages; (* blocks read by in-flight misses *)
   mutable s_hits : int;
   mutable s_misses : int;
 }
@@ -50,6 +51,7 @@ let create cfg =
     cfg;
     shard_arr = Array.init cfg.shards mk;
     files = Hashtbl.create 16;
+    staging = Sdevice.Bufpool.pages ();
     s_hits = 0;
     s_misses = 0;
   }
@@ -84,36 +86,36 @@ let get_block t ~file_id ~page =
   | None ->
       t.s_misses <- t.s_misses + 1;
       Sim.Sync.Mutex.unlock sh.lock;
-      let block = Bytes.create psz in
       let fd = fd_of t file_id in
-      Linux_sim.Readwrite.pread fd ~off:(page * psz) ~len:psz ~dst:block;
-      charge (Int64.sub t.cfg.insert_cost 600L);
-      Sim.Sync.Mutex.lock ~cat:Sim.Engine.User sh.lock;
-      charge 600L;
-      let slot =
-        match Hashtbl.find_opt sh.index key with
-        | Some slot -> slot (* a concurrent miss installed it first *)
-        | None ->
-            let slot =
-              match Queue.take_opt sh.free with
-              | Some s -> s
-              | None -> (
-                  match Dstruct.Clock_lru.evict_candidates sh.lru 1 with
-                  | [ v ] ->
-                      Hashtbl.remove sh.index sh.keys.(v);
-                      sh.keys.(v) <- -1;
-                      v
-                  | _ -> failwith "User_cache: shard exhausted")
-            in
-            sh.keys.(slot) <- key;
-            Hashtbl.replace sh.index key slot;
-            Dstruct.Clock_lru.set_active sh.lru slot true;
-            slot
-      in
-      Bytes.blit block 0 sh.slots.(slot) 0 psz;
-      Dstruct.Clock_lru.touch sh.lru slot;
-      Sim.Sync.Mutex.unlock sh.lock;
-      (sh, slot)
+      Sdevice.Bufpool.with_pages t.staging 1 (fun block ->
+          Linux_sim.Readwrite.pread fd ~off:(page * psz) ~len:psz ~dst:block;
+          charge (Int64.sub t.cfg.insert_cost 600L);
+          Sim.Sync.Mutex.lock ~cat:Sim.Engine.User sh.lock;
+          charge 600L;
+          let slot =
+            match Hashtbl.find_opt sh.index key with
+            | Some slot -> slot (* a concurrent miss installed it first *)
+            | None ->
+                let slot =
+                  match Queue.take_opt sh.free with
+                  | Some s -> s
+                  | None -> (
+                      match Dstruct.Clock_lru.evict_candidates sh.lru 1 with
+                      | [ v ] ->
+                          Hashtbl.remove sh.index sh.keys.(v);
+                          sh.keys.(v) <- -1;
+                          v
+                      | _ -> failwith "User_cache: shard exhausted")
+                in
+                sh.keys.(slot) <- key;
+                Hashtbl.replace sh.index key slot;
+                Dstruct.Clock_lru.set_active sh.lru slot true;
+                slot
+          in
+          Bytes.blit block 0 sh.slots.(slot) 0 psz;
+          Dstruct.Clock_lru.touch sh.lru slot;
+          Sim.Sync.Mutex.unlock sh.lock;
+          (sh, slot))
 
 let read t ~file_id ~off ~len ~dst =
   if off < 0 || len < 0 then invalid_arg "User_cache.read";
@@ -128,8 +130,9 @@ let read t ~file_id ~off ~len ~dst =
     pos := !pos + chunk
   done
 
-let write t ~file_id ~off ~src =
-  let len = Bytes.length src in
+let write ?len t ~file_id ~off ~src =
+  let len = Option.value len ~default:(Bytes.length src) in
+  if len > Bytes.length src then invalid_arg "User_cache.write: src too small";
   if off mod psz <> 0 || len mod psz <> 0 then
     invalid_arg "User_cache.write: requires page alignment (O_DIRECT)";
   (* update any cached copies *)
@@ -147,7 +150,7 @@ let write t ~file_id ~off ~src =
     Sim.Sync.Mutex.unlock sh.lock
   done;
   let fd = fd_of t file_id in
-  Linux_sim.Readwrite.pwrite fd ~off ~src
+  Linux_sim.Readwrite.pwrite ~len fd ~off ~src
 
 let invalidate_file t ~file_id =
   Array.iter

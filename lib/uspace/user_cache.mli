@@ -33,9 +33,10 @@ val read : t -> file_id:int -> off:int -> len:int -> dst:Bytes.t -> unit
 (** [read t ~file_id ~off ~len ~dst] copies file bytes through the cache,
     filling missing blocks with direct reads.  Must run inside a fiber. *)
 
-val write : t -> file_id:int -> off:int -> src:Bytes.t -> unit
-(** Write-through: updates cached blocks and issues a direct [pwrite]
-    ([off]/[len] must be page-aligned, as O_DIRECT requires). *)
+val write : ?len:int -> t -> file_id:int -> off:int -> src:Bytes.t -> unit
+(** Write-through of the first [len] bytes of [src] (default all of
+    them): updates cached blocks and issues a direct [pwrite] ([off] and
+    [len] must be page-aligned, as O_DIRECT requires). *)
 
 val invalidate_file : t -> file_id:int -> unit
 

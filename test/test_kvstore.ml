@@ -210,6 +210,54 @@ let sst_layout_pinned () =
   Alcotest.(check string) "device bytes" "2a64165518f1f2df2e692021490cb80f"
     (Digest.to_hex (Digest.string (Buffer.contents device)))
 
+(* An SST built after a larger one in the same environment reuses the
+   larger one's staging buffers (data in the same 256-page class, index
+   and filter too); its device pages must hold exactly what it writes
+   when built first in a fresh store — no stale bytes in block tails, the
+   index's end or the filter's tail. *)
+let sst_reused_staging_is_clean () =
+  let recs ~n ~seed =
+    List.init n (fun i ->
+        ( Printf.sprintf "key%06d%s" i (String.make (8 + (i mod 7)) 'x'),
+          String.init ((i * seed) mod 1500) (fun j -> Char.chr (33 + ((i + j + seed) mod 90))) ))
+  in
+  let big = recs ~n:1000 ~seed:37 and small = recs ~n:750 ~seed:29 in
+  (* builds [ssts] in order in a fresh store and returns the MD5 of the
+     last one's device pages, with its shape *)
+  let last_sst_digest ssts =
+    let store = Blobstore.Store.create ~capacity_pages:1024 () in
+    let pmem = Sdevice.Pmem.create ~capacity_bytes:(Int64.of_int (1024 * psz)) () in
+    let env =
+      Kvstore.Env.direct_ucache ~store ~costs:Hw.Costs.default
+        ~device_access:(Sdevice.Access.dax_pmem Hw.Costs.default pmem)
+        ~ucache:
+          (Uspace.User_cache.create (Uspace.User_cache.default_config ~capacity_pages:512))
+    in
+    let last = ref None in
+    in_sim (fun () ->
+        List.iteri
+          (fun i r -> last := Some (Kvstore.Sst.build env ~name:(Printf.sprintf "%d.sst" i) r))
+          ssts);
+    let sst = Option.get !last in
+    let blob = Blobstore.Store.open_blob store (List.length ssts) in
+    let bytes = Buffer.create (Kvstore.Sst.total_pages sst * psz) and page = Bytes.create psz in
+    for p = 0 to Kvstore.Sst.total_pages sst - 1 do
+      Sdevice.Pagestore.read_page (Sdevice.Pmem.store pmem)
+        ~page:(Blobstore.Store.device_page blob p) ~dst:page;
+      Buffer.add_bytes bytes page
+    done;
+    (Kvstore.Sst.data_pages sst, Kvstore.Sst.total_pages sst,
+     Digest.to_hex (Digest.string (Buffer.contents bytes)))
+  in
+  let big_data, big_total, _ = last_sst_digest [ big ] in
+  let data, total, fresh = last_sst_digest [ small ] in
+  let _, _, reused = last_sst_digest [ big; small ] in
+  checki "big data pages" 218 big_data;
+  checki "big index + filter pages" 3 (big_total - big_data);
+  Alcotest.(check bool) "small data in the big one's class" true (data > 128 && data < big_data);
+  checki "small index + filter pages" 3 (total - data);
+  Alcotest.(check string) "same device bytes as built first" fresh reused
+
 (* ---- RocksDB ---- *)
 
 let rocksdb_put_get_flush () =
@@ -661,6 +709,8 @@ let () =
           Alcotest.test_case "oversized record" `Quick sst_rejects_oversized;
           QCheck_alcotest.to_alcotest sst_property;
           Alcotest.test_case "on-device layout pinned" `Quick sst_layout_pinned;
+          Alcotest.test_case "reused staging leaks no stale bytes" `Quick
+            sst_reused_staging_is_clean;
         ] );
       ( "rocksdb",
         [

@@ -190,6 +190,205 @@ let access_rejects_small_buffer () =
         (in_fiber (fun () ->
              Sdevice.Access.read_pages a ~page:0 ~count:2 ~dst:(Bytes.create psz))))
 
+(* ---- Staging buffers ---- *)
+
+let bufpool_lends_and_takes_back () =
+  let p = Sdevice.Bufpool.pages () in
+  let first = Sdevice.Bufpool.with_pages p 3 (fun b -> b) in
+  checki "rounded up to a power of two" (4 * psz) (Bytes.length first);
+  Sdevice.Bufpool.with_pages p 4 (fun b ->
+      Alcotest.(check bool) "returned buffer reused" true (b == first);
+      Sdevice.Bufpool.with_pages p 4 (fun b' ->
+          Alcotest.(check bool) "a held buffer is not lent twice" false (b' == b)));
+  (try Sdevice.Bufpool.with_pages p 4 (fun _ -> failwith "boom") with Failure _ -> ());
+  Sdevice.Bufpool.with_pages p 4 (fun b ->
+      Alcotest.(check bool) "given back on an exception too" true (b == first));
+  Alcotest.check_raises "no empty buffers"
+    (Invalid_argument "Bufpool.with_pages: page count out of range") (fun () ->
+      Sdevice.Bufpool.with_pages p 0 ignore)
+
+(* Every device page and every dirtied frame gets bytes of its own (a
+   header naming the page and its origin), so a page staged through
+   another transfer's buffer cannot pass. *)
+let page_bytes ~origin p =
+  let b = Bytes.init psz (fun i -> Char.chr (((7 * i) + (31 * p) + origin) land 0xff)) in
+  Bytes.set_uint16_le b 0 p;
+  Bytes.set_uint8 b 2 origin;
+  b
+
+let device_bytes = page_bytes ~origin:1
+let frame_bytes = page_bytes ~origin:2
+
+let nvme_with_pages n =
+  let dev = Sdevice.Nvme.create () in
+  for p = 0 to n - 1 do
+    Sdevice.Pagestore.write_page (Sdevice.Block_dev.store dev) ~page:p ~src:(device_bytes p)
+  done;
+  dev
+
+let device_page dev p =
+  let b = Bytes.create psz in
+  Sdevice.Pagestore.read_page (Sdevice.Block_dev.store dev) ~page:p ~dst:b;
+  b
+
+(* Runs each fiber on its own core, all starting at cycle 0. *)
+let run_fibers fibers =
+  let eng = Sim.Engine.create () in
+  List.iteri (fun core f -> ignore (Sim.Engine.spawn eng ~core (fun () -> f core))) fibers;
+  Sim.Engine.run eng
+
+let check_page what want got =
+  Alcotest.(check bool) what true (Bytes.equal want got)
+
+(* Two files of 256 pages over one NVMe device: file [f] is device pages
+   [base f ..].  Pages 128.. of both are dirtied, then two readahead fills
+   of file 1 and both files' merged write-backs run at once on the host
+   NVMe path, where a transfer suspends between staging its bytes and the
+   device (or its reader) consuming them: a buffer lent to two transfers
+   hands one of them the other's bytes. *)
+let base f = (f - 1) * 256
+let translate f p = if p < 256 then Some (base f + p) else None
+
+let check_transfers ~dev ~frame ~filled ~dirty =
+  run_fibers
+    [
+      (fun core ->
+        List.iter
+          (fun p ->
+            check_page (Printf.sprintf "frame of page %d" p) (device_bytes p) (frame ~core 1 p))
+          filled);
+    ];
+  List.iter
+    (fun f ->
+      List.iter
+        (fun p ->
+          let d = base f + p in
+          check_page (Printf.sprintf "device page %d" d) (frame_bytes d) (device_page dev d))
+        dirty)
+    [ 1; 2 ]
+
+let staging_not_shared_dram_cache () =
+  let dev = nvme_with_pages 512 in
+  let pt = Hw.Page_table.create () in
+  let cache =
+    Mcache.Dram_cache.create ~costs:c ~machine:(Hw.Machine.create ()) ~page_table:pt
+      { (Mcache.Dram_cache.default_config ~frames:64) with readahead = 3 }
+  in
+  let access = Sdevice.Access.host_nvme c ~entry:Sdevice.Access.In_kernel dev in
+  List.iter
+    (fun f -> Mcache.Dram_cache.register_file cache ~file_id:f ~access ~translate:(translate f))
+    [ 1; 2 ];
+  let map ~write ~core f p =
+    let vpn = (1000 * f) + p in
+    Mcache.Dram_cache.fault cache ~core ~key:(Mcache.Pagekey.make ~file:f ~page:p) ~vpn ~write ();
+    Mcache.Dram_cache.pfn_data cache (Option.get (Hw.Page_table.find pt ~vpn)).Hw.Page_table.pfn
+  in
+  let frame = map ~write:false in
+  let dirty = [ 128; 129; 130; 131 ] in
+  run_fibers
+    [
+      (fun core ->
+        List.iter
+          (fun f ->
+            List.iter
+              (fun p -> Bytes.blit (frame_bytes (base f + p)) 0 (map ~write:true ~core f p) 0 psz)
+              dirty)
+          [ 1; 2 ]);
+    ];
+  let reads0 = Mcache.Dram_cache.read_ios cache in
+  run_fibers
+    [
+      (fun core -> ignore (frame ~core 1 0));
+      (fun core -> ignore (frame ~core 1 64));
+      (fun core -> Mcache.Dram_cache.msync cache ~core ~file:1 ());
+      (fun core -> Mcache.Dram_cache.msync cache ~core ~file:2 ());
+    ];
+  checki "two 4-page fills" 2 (Mcache.Dram_cache.read_ios cache - reads0);
+  checki "two merged write-backs" 2 (Mcache.Dram_cache.writeback_ios cache);
+  checki "of 4 pages each" 8 (Mcache.Dram_cache.writeback_pages cache);
+  check_transfers ~dev ~frame ~filled:[ 0; 1; 2; 3; 64; 65; 66; 67 ] ~dirty
+
+let staging_not_shared_page_cache () =
+  let dev = nvme_with_pages 512 in
+  let pc =
+    Linux_sim.Page_cache.create ~costs:c ~machine:(Hw.Machine.create ())
+      ~page_table:(Hw.Page_table.create ())
+      { (Linux_sim.Page_cache.default_config ~frames:64) with readahead = 8 }
+  in
+  let access = Sdevice.Access.host_nvme c ~entry:Sdevice.Access.In_kernel dev in
+  List.iter
+    (fun f -> Linux_sim.Page_cache.register_file pc ~file_id:f ~access ~translate:(translate f))
+    [ 1; 2 ];
+  let frame ~core f p =
+    Linux_sim.Page_cache.pfn_data pc
+      (Linux_sim.Page_cache.buffered_read pc ~core ~key:(Mcache.Pagekey.make ~file:f ~page:p))
+  in
+  let dirty = List.init 8 (fun i -> 128 + i) in
+  run_fibers
+    [
+      (fun core ->
+        List.iter
+          (fun f ->
+            List.iter
+              (fun p ->
+                Bytes.blit (frame_bytes (base f + p)) 0 (frame ~core f p) 0 psz;
+                Linux_sim.Page_cache.set_dirty_key pc ~key:(Mcache.Pagekey.make ~file:f ~page:p))
+              dirty)
+          [ 1; 2 ]);
+    ];
+  let reads0 = Linux_sim.Page_cache.read_ios pc in
+  run_fibers
+    [
+      (fun core -> ignore (frame ~core 1 0));
+      (fun core -> ignore (frame ~core 1 64));
+      (fun core -> Linux_sim.Page_cache.msync_file pc ~core ~file_id:1);
+      (fun core -> Linux_sim.Page_cache.msync_file pc ~core ~file_id:2);
+    ];
+  checki "two 8-page fills" 2 (Linux_sim.Page_cache.read_ios pc - reads0);
+  checki "two merged write-backs" 2 (Linux_sim.Page_cache.writeback_ios pc);
+  check_transfers ~dev ~frame ~filled:(List.init 8 Fun.id @ List.init 8 (fun i -> 64 + i)) ~dirty
+
+(* 200 merged write-backs of 32 pages and 200 readahead fills of 9 pages
+   through one cache allocate their staging once: the major heap grows by
+   less than one 9-page buffer per 20 transfers.  The device pages exist
+   beforehand, so their first-touch allocation is not counted. *)
+let staging_allocates_once () =
+  let rounds = 200 and run = 32 and ra = 8 in
+  let fill0 = 1024 in
+  let dev = nvme_with_pages (fill0 + (rounds * (ra + 1))) in
+  let pt = Hw.Page_table.create () in
+  let cache =
+    Mcache.Dram_cache.create ~costs:c ~machine:(Hw.Machine.create ()) ~page_table:pt
+      { (Mcache.Dram_cache.default_config ~frames:4096) with readahead = ra }
+  in
+  Mcache.Dram_cache.register_file cache ~file_id:1
+    ~access:(Sdevice.Access.spdk_nvme c dev) ~translate:(fun p -> Some p);
+  let fault ~write p =
+    Mcache.Dram_cache.fault cache ~core:0 ~key:(Mcache.Pagekey.make ~file:1 ~page:p)
+      ~vpn:(1000 + p) ~write ()
+  in
+  let _, promoted0, major0 = Gc.counters () in
+  run_fibers
+    [
+      (fun _ ->
+        for r = 0 to rounds - 1 do
+          for p = 0 to run - 1 do
+            fault ~write:true p
+          done;
+          Mcache.Dram_cache.msync cache ~core:0 ();
+          fault ~write:false (fill0 + (r * (ra + 1)))
+        done);
+    ];
+  let _, promoted1, major1 = Gc.counters () in
+  checki "merged write-backs" rounds (Mcache.Dram_cache.writeback_ios cache);
+  checki "pages written back" (rounds * run) (Mcache.Dram_cache.writeback_pages cache);
+  (* the first round's write faults read pages 0..31 in 4 fills *)
+  checki "readahead fills" (rounds + 4) (Mcache.Dram_cache.read_ios cache);
+  let direct = int_of_float (major1 -. major0 -. (promoted1 -. promoted0)) in
+  let budget = 2 * rounds / 20 * ((ra + 1) * psz / (Sys.word_size / 8)) in
+  if direct >= budget then
+    Alcotest.failf "%d words allocated on the major heap, budget %d" direct budget
+
 let () =
   Alcotest.run "sdevice"
     [
@@ -219,5 +418,14 @@ let () =
           Alcotest.test_case "io_uring in between" `Quick access_uring_between_spdk_and_host;
           Alcotest.test_case "moves data" `Quick access_moves_data;
           Alcotest.test_case "buffer validation" `Quick access_rejects_small_buffer;
+        ] );
+      ( "staging",
+        [
+          Alcotest.test_case "pool lends and takes back" `Quick bufpool_lends_and_takes_back;
+          Alcotest.test_case "dram cache transfers never share" `Quick
+            staging_not_shared_dram_cache;
+          Alcotest.test_case "page cache transfers never share" `Quick
+            staging_not_shared_page_cache;
+          Alcotest.test_case "400 transfers allocate once" `Quick staging_allocates_once;
         ] );
     ]

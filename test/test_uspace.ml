@@ -15,7 +15,7 @@ let make_rig ?(capacity = 64) ?(file_pages = 256) () =
   let fd =
     Linux_sim.Readwrite.open_direct ~costs:Hw.Costs.default ~access
       ~translate:(fun p -> if p < file_pages then Some p else None)
-      ~size_pages:file_pages
+      ~size_pages:file_pages ~staging:(Sdevice.Bufpool.pages ())
   in
   let uc =
     Uspace.User_cache.create
