@@ -247,6 +247,72 @@ let trace_cmd =
         (const run $ id $ out $ csv $ summary $ buffer $ policy_arg
        $ metrics_out_arg))
 
+(* faultcheck's error-injection plan.  The sweep sets seed, crash and node
+   for every combo itself, so a plan that sets them would change nothing
+   or disarm every crash. *)
+let sweep_spec_of plan =
+  let d = Fault.Plan.default in
+  let owned key =
+    Error
+      (Printf.sprintf "--fault-plan: faultcheck sets %s itself for every combo"
+         key)
+  in
+  match fault_spec_of plan None with
+  | Error msg -> Error msg
+  | Ok None -> Ok d
+  | Ok (Some s) when s.Fault.Plan.seed <> d.seed -> owned "seed"
+  | Ok (Some s) when s.crash_at <> d.crash_at -> owned "crash"
+  | Ok (Some s) when s.node <> d.node -> owned "node"
+  | Ok (Some s) -> Ok s
+
+let seeds_arg n =
+  Arg.(
+    value
+    & opt int n
+    & info [ "seeds" ] ~docv:"N" ~doc:"Sweep workload seeds 1..$(docv).")
+
+(* The driver behind faultcheck and clustercheck: each sweep runs one
+   fan-out job per seed and merges them in seed order, so its report is
+   byte-identical at any [jobs]; under --broken a clean report means the
+   [checker] missed the [bug] planted for it. *)
+let run_sweeps ~name ~checker ~bug ~failure ?metrics_out ~jobs ~seeds ~points
+    ~broken sweeps =
+  if seeds < 1 || points < 1 then
+    `Error (true, "--seeds and --points must be >= 1")
+  else if jobs < 1 then `Error (true, "--jobs must be >= 1")
+  else begin
+    let seeds = List.init seeds (fun i -> i + 1) in
+    let reports =
+      Experiments.Scenario.with_metrics ?out:metrics_out @@ fun () ->
+      List.map
+        (fun sweep ->
+          let slots = Array.make (List.length seeds) Fault_check.Check.empty in
+          Experiments.Fanout.run ~jobs
+            (List.mapi
+               (fun i seed ->
+                 Experiments.Fanout.job
+                   ~name:(Printf.sprintf "%s seed %d" name seed)
+                   (fun () -> slots.(i) <- sweep ~seeds:[ seed ] ~points ()))
+               seeds);
+          Array.fold_left Fault_check.Check.merge Fault_check.Check.empty slots)
+        sweeps
+    in
+    List.iter (Fault_check.Check.pp_report name Format.std_formatter) reports;
+    let clean = List.for_all Fault_check.Check.ok reports in
+    if not broken then if clean then `Ok () else `Error (false, failure)
+    else if clean then
+      `Error
+        ( false,
+          Printf.sprintf
+            "broken variant produced no violations — the %s missed a real %s"
+            checker bug )
+    else begin
+      Printf.printf "broken variant caught, as expected — %s has teeth\n"
+        checker;
+      `Ok ()
+    end
+  end
+
 let faultcheck_cmd =
   let doc = "Crash-consistency sweep: inject power cuts, verify durability." in
   let man =
@@ -259,15 +325,10 @@ let faultcheck_cmd =
          oracle (everything acked by a completed msync must be intact and \
          untorn), and restarts a fresh stack over the same device.  Runs \
          both the mmap microbenchmark (NVMe) and the Kreon-sim KV store \
-         (DAX pmem) unless $(b,--mode) narrows it.  Exits non-zero on any \
-         violation.";
+         (DAX pmem) unless $(b,--mode) narrows it.  $(b,--fault-plan) \
+         adds error injection; the sweep sets its seed, crash and node \
+         keys itself.  Exits non-zero on any violation.";
     ]
-  in
-  let seeds =
-    Arg.(
-      value
-      & opt int 5
-      & info [ "seeds" ] ~docv:"N" ~doc:"Sweep workload seeds 1..$(docv).")
   in
   let points =
     Arg.(
@@ -290,54 +351,31 @@ let faultcheck_cmd =
       & info [ "broken" ]
           ~doc:"Check the deliberately broken variant (write-protect after \
                 msync disabled): the sweep is expected to report \
-                violations, proving the checker has teeth.")
+                violations, proving the checker has teeth.  Only the micro \
+                stack has one.")
   in
-  let run seeds points mode broken plan crash_at policy metrics_out =
-    if seeds < 1 || points < 1 then
-      `Error (true, "--seeds and --points must be >= 1")
-    else
-      match fault_spec_of plan crash_at with
-      | Error msg -> `Error (true, msg)
-      | Ok fault ->
-          let spec = Option.value fault ~default:Fault.Plan.default in
-          let seeds = List.init seeds (fun i -> i + 1) in
-          let reports =
-            Experiments.Scenario.with_metrics ?out:metrics_out @@ fun () ->
-            (match mode with
-            | `Micro | `All ->
-                [
-                  Fault_check.Check.run_micro ~spec ~broken ~policy ~seeds
-                    ~points ();
-                ]
-            | `Kreon -> [])
-            @
-            match mode with
-            | `Kreon | `All ->
-                if broken then []
-                else
-                  [ Fault_check.Check.run_kreon ~spec ~policy ~seeds ~points () ]
-            | `Micro -> []
-          in
-          List.iter (Fault_check.Check.pp_report Format.std_formatter) reports;
-          let clean = List.for_all Fault_check.Check.ok reports in
-          if broken then
-            if clean then
-              `Error (false, "broken variant produced no violations — the \
-                              checker missed a real durability bug")
-            else begin
-              print_endline
-                "broken variant caught, as expected — checker has teeth";
-              `Ok ()
-            end
-          else if clean then `Ok ()
-          else `Error (false, "durability violations found")
+  let run seeds points mode broken plan policy metrics_out =
+    match sweep_spec_of plan with
+    | Error msg -> `Error (true, msg)
+    | Ok _ when broken && mode = `Kreon ->
+        `Error (true, "--broken: only the micro stack has a broken variant")
+    | Ok spec ->
+        let micro = Fault_check.Check.run_micro ~spec ~broken ~policy in
+        let kreon = Fault_check.Check.run_kreon ~spec ~policy in
+        run_sweeps ~name:"faultcheck" ~checker:"checker" ~bug:"durability bug"
+          ~failure:"durability violations found" ?metrics_out ~jobs:1 ~seeds
+          ~points ~broken
+          (match mode with
+          | `Micro -> [ micro ]
+          | `Kreon -> [ kreon ]
+          | `All -> if broken then [ micro ] else [ micro; kreon ])
   in
   Cmd.v
     (Cmd.info "faultcheck" ~doc ~man)
     Term.(
       ret
-        (const run $ seeds $ points $ mode $ broken $ fault_plan_arg
-       $ crash_at_arg $ policy_arg $ metrics_out_arg))
+        (const run $ seeds_arg 5 $ points $ mode $ broken $ fault_plan_arg
+       $ policy_arg $ metrics_out_arg))
 
 let clustercheck_cmd =
   let doc = "Cluster failover sweep: crash nodes, verify no acked write lost." in
@@ -358,12 +396,6 @@ let clustercheck_cmd =
          byte-identical at any parallelism.  Exits non-zero on any \
          violation.";
     ]
-  in
-  let seeds =
-    Arg.(
-      value
-      & opt int 3
-      & info [ "seeds" ] ~docv:"N" ~doc:"Sweep workload seeds 1..$(docv).")
   in
   let points =
     Arg.(
@@ -397,57 +429,22 @@ let clustercheck_cmd =
                 proving the oracle has teeth.")
   in
   let run seeds points nodes replicas broken jobs =
-    if seeds < 1 || points < 1 then
-      `Error (true, "--seeds and --points must be >= 1")
-    else if jobs < 1 then `Error (true, "--jobs must be >= 1")
-    else if nodes < 2 || replicas < 1 || replicas > nodes then
+    if nodes < 2 || replicas < 1 || replicas > nodes then
       `Error (true, "--nodes must be >= 2 and 1 <= --replicas <= --nodes")
-    else begin
+    else
       let cfg =
-        {
-          Aqcluster.Cluster.default_config with
-          Aqcluster.Cluster.nodes;
-          replicas;
-        }
+        { Aqcluster.Cluster.default_config with Aqcluster.Cluster.nodes; replicas }
       in
-      let seed_list = List.init seeds (fun i -> i + 1) in
-      (* one fan-out job per seed, each writing its own report slot;
-         Fanout joins every domain before we merge in seed order, so the
-         printed report is byte-identical at any --jobs degree *)
-      let results = Array.make seeds Aqcluster.Check.empty in
-      Experiments.Fanout.run ~jobs
-        (List.mapi
-           (fun i seed ->
-             Experiments.Fanout.job
-               ~name:(Printf.sprintf "clustercheck seed %d" seed)
-               (fun () ->
-                 results.(i) <-
-                   Aqcluster.Check.sweep ~broken ~cfg ~seeds:[ seed ] ~points
-                     ()))
-           seed_list);
-      let report =
-        Array.fold_left Aqcluster.Check.merge Aqcluster.Check.empty results
-      in
-      Aqcluster.Check.pp_report Format.std_formatter report;
-      let clean = Aqcluster.Check.ok report in
-      if broken then
-        if clean then
-          `Error
-            ( false,
-              "broken variant produced no violations — the oracle missed a \
-               real lost-ack bug" )
-        else begin
-          print_endline "broken variant caught, as expected — oracle has teeth";
-          `Ok ()
-        end
-      else if clean then `Ok ()
-      else `Error (false, "cluster violations found")
-    end
+      run_sweeps ~name:"clustercheck" ~checker:"oracle" ~bug:"lost-ack bug"
+        ~failure:"cluster violations found" ~jobs ~seeds ~points ~broken
+        [ Fault_check.Check.run_cluster ~broken ~cfg ]
   in
   Cmd.v
     (Cmd.info "clustercheck" ~doc ~man)
     Term.(
-      ret (const run $ seeds $ points $ nodes $ replicas $ broken $ jobs_arg))
+      ret
+        (const run $ seeds_arg 3 $ points $ nodes $ replicas $ broken
+       $ jobs_arg))
 
 let loadtest_cmd =
   let doc = "Open-loop load test: seeded arrivals, sojourn SLOs, shedding." in

@@ -9,8 +9,8 @@
     ring replica is the promoted primary), surviving members
     re-replicate shifted keys, and the node restarts, replays its WAL,
     and resyncs from the authoritative copies — its divergent tail, if
-    any, is truncated.  [Check] sweeps (seed × ordinal × node) and
-    verifies no acknowledged write is ever lost. *)
+    any, is truncated.  [Fault_check.Check.run_cluster] sweeps (seed ×
+    ordinal × node) and verifies no acknowledged write is ever lost. *)
 
 type config = {
   nodes : int;

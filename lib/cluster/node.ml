@@ -2,7 +2,8 @@
    an Aquila context, and a page-granular write-ahead log mapped through
    the mmap path.  The volatile KV view (memtable) is rebuilt from the
    WAL on every (re)open, so a crash loses exactly the DRAM state — the
-   same contract lib/fault/check.ml verifies for the single-node stack.
+   contract lib/fault/check.ml verifies for the single-node stacks and,
+   node by node, for the whole cluster.
 
    Durability unit: one WAL record per device page, written with
    Context.write + msync under the node's WAL lock, so the log is a

@@ -254,20 +254,20 @@ let sweep_cfg = small_cfg ()
 
 let sweep_clean () =
   let r =
-    Aqcluster.Check.sweep ~cfg:sweep_cfg ~seeds:[ 11 ] ~points:2 ()
+    Fault_check.Check.run_cluster ~cfg:sweep_cfg ~seeds:[ 11 ] ~points:2 ()
   in
-  checki "combos" (2 * 3) r.Aqcluster.Check.combos;
-  checki "every combo crashed its node" r.Aqcluster.Check.combos
-    r.Aqcluster.Check.crashes;
-  Alcotest.(check (list string)) "no violations" [] r.Aqcluster.Check.violations
+  checki "combos" (2 * 3) r.Fault_check.Check.combos;
+  checki "every combo crashed its node" r.Fault_check.Check.combos
+    r.Fault_check.Check.crashes;
+  Alcotest.(check (list string)) "no violations" [] r.Fault_check.Check.violations
 
 let sweep_broken_caught () =
   let r =
-    Aqcluster.Check.sweep ~broken:true ~cfg:sweep_cfg ~seeds:[ 11 ] ~points:2 ()
+    Fault_check.Check.run_cluster ~broken:true ~cfg:sweep_cfg ~seeds:[ 11 ] ~points:2 ()
   in
   Alcotest.(check bool)
     "ack-before-replication is caught" false
-    (Aqcluster.Check.ok r)
+    (Fault_check.Check.ok r)
 
 (* ---- Engine.blocked_report node tag (satellite) ---- *)
 

@@ -294,7 +294,7 @@ let degrade_to_read_only_after_error_storm () =
 let checker_micro_clean () =
   let r = Fault_check.Check.run_micro ~seeds:[ 1; 2 ] ~points:5 () in
   Alcotest.(check bool)
-    (Format.asprintf "%a" Fault_check.Check.pp_report r)
+    (Format.asprintf "%a" (Fault_check.Check.pp_report "faultcheck") r)
     true (Fault_check.Check.ok r);
   checki "all combos crashed" r.Fault_check.Check.combos
     r.Fault_check.Check.crashes
@@ -302,7 +302,7 @@ let checker_micro_clean () =
 let checker_kreon_clean () =
   let r = Fault_check.Check.run_kreon ~seeds:[ 1 ] ~points:5 () in
   Alcotest.(check bool)
-    (Format.asprintf "%a" Fault_check.Check.pp_report r)
+    (Format.asprintf "%a" (Fault_check.Check.pp_report "faultcheck") r)
     true (Fault_check.Check.ok r)
 
 let checker_catches_broken_variant () =
@@ -313,6 +313,97 @@ let checker_catches_broken_variant () =
     Fault_check.Check.run_micro ~broken:true ~seeds:[ 1; 2; 3 ] ~points:10 ()
   in
   Alcotest.(check bool) "violations reported" false (Fault_check.Check.ok r)
+
+(* ---- The sweep driver, over a fake backend ---- *)
+
+module Check = Fault_check.Check
+
+(* Runs [events seed] events and records every spec it is given; a crash
+   run on node 2 reports one violation. *)
+let fake ?(fingerprint = fun () -> "") ~events seen (spec : Fault.Plan.spec) =
+  seen := spec :: !seen;
+  {
+    Check.crashed = spec.crash_at <> None;
+    events = events spec.seed;
+    fingerprint = fingerprint ();
+    run_violations = (if spec.node = Some 2 then [ "lost" ] else []);
+  }
+
+let sweep_flags_nondeterminism () =
+  let calls = ref 0 in
+  let bump _ =
+    incr calls;
+    !calls
+  in
+  List.iter
+    (fun (what, once) ->
+      match (Check.sweep ~mode:"m" ~seeds:[ 3 ] ~points:2 once).violations with
+      | [ v ] ->
+          Alcotest.(check bool)
+            (what ^ " differs: " ^ v)
+            true
+            (String.starts_with ~prefix:"[m seed=3] nondeterministic: " v)
+      | vs -> Alcotest.failf "%s differs: %d violations" what (List.length vs))
+    [
+      ( "fingerprint",
+        fake
+          ~fingerprint:(fun () -> string_of_int (bump ()))
+          ~events:(fun _ -> 50)
+          (ref []) );
+      ("events", fake ~events:bump (ref []));
+    ]
+
+let sweep_crosses_ordinals_with_targets () =
+  let seen = ref [] in
+  (* seed 1 runs 2 events, so each of its ordinals clamps to 1 *)
+  let events seed = if seed = 1 then 2 else 1000 in
+  let r =
+    Check.sweep ~mode:"m" ~targets:[ Some 0; Some 2 ] ~seeds:[ 1; 5 ]
+      ~points:4 (fake ~events seen)
+  in
+  checki "combos = seeds x points x targets" (2 * 4 * 2) r.combos;
+  checki "every crash run crashed" r.combos r.crashes;
+  Alcotest.(check (list int))
+    "ordinals are max 1 (events * i / (points + 1)), once per target"
+    [ 1; 1; 1; 1; 1; 1; 1; 1; 200; 200; 400; 400; 600; 600; 800; 800 ]
+    (List.filter_map (fun s -> s.Fault.Plan.crash_at) (List.rev !seen));
+  Alcotest.(check (list string))
+    "labels name the node"
+    (List.map
+       (fun (seed, at) -> Printf.sprintf "[m seed=%d crash=%d node=2] lost" seed at)
+       [ (1, 1); (1, 1); (1, 1); (1, 1); (5, 200); (5, 400); (5, 600); (5, 800) ])
+    r.violations
+
+let sweep_owns_seed_crash_node () =
+  let seen = ref [] in
+  let spec =
+    {
+      Fault.Plan.seed = 77;
+      read_error = 0.25;
+      write_error = 0.125;
+      permanent = 0.0625;
+      torn_write = 0.5;
+      latency_spike = 0.03125;
+      spike_factor = 3;
+      crash_at = Some 9;
+      node = Some 4;
+    }
+  in
+  ignore
+    (Check.sweep ~mode:"m" ~targets:[ None; Some 1 ] ~spec ~seeds:[ 6 ]
+       ~points:1
+       (fake ~events:(fun _ -> 10) seen));
+  let probe = { spec with seed = 6; crash_at = None; node = None } in
+  Alcotest.(check (list string))
+    "two probes, then ordinal 5 on each target; injection untouched"
+    (List.map Fault.Plan.to_string
+       [
+         probe;
+         probe;
+         { probe with crash_at = Some 5 };
+         { probe with crash_at = Some 5; node = Some 1 };
+       ])
+    (List.rev_map Fault.Plan.to_string !seen)
 
 let () =
   Alcotest.run "fault"
@@ -345,5 +436,14 @@ let () =
           Alcotest.test_case "kreon clean" `Quick checker_kreon_clean;
           Alcotest.test_case "broken variant caught" `Quick
             checker_catches_broken_variant;
+        ] );
+      ( "sweep",
+        [
+          Alcotest.test_case "nondeterministic probes" `Quick
+            sweep_flags_nondeterminism;
+          Alcotest.test_case "ordinals x targets" `Quick
+            sweep_crosses_ordinals_with_targets;
+          Alcotest.test_case "owns seed, crash and node" `Quick
+            sweep_owns_seed_crash_node;
         ] );
     ]
