@@ -656,41 +656,21 @@ let report_cmd =
     | Ok entries, Ok fault ->
         Experiments.Scenario.set_policy policy;
         Experiments.Sharded.set_mode ~shards ~deterministic;
-        let profiling = profile <> None || timeseries <> None in
         (* The profiler is domain-local, like the tracer. *)
         let jobs =
-          if profiling && jobs > 1 then begin
+          if (profile <> None || timeseries <> None) && jobs > 1 then begin
             Printf.eprintf
               "aquila_cli: --profile/--timeseries forces --jobs 1\n%!";
             1
           end
           else jobs
         in
-        Metrics.Registry.reset ();
-        if profiling then
-          Metrics.Profile.start ~period:sample_period
-            ~ts_period:(match timeseries with None -> 0 | Some _ -> ts_period)
-            ();
-        run_entries ~jobs ?fault entries;
-        if profiling then Metrics.Profile.stop ();
-        let samples = Metrics.Registry.snapshot () in
-        if families then Stats.Metrics_report.print_families samples;
-        Stats.Metrics_report.print samples;
-        (match metrics_out with
-        | Some path ->
-            Metrics.Export.write ~path samples;
-            Printf.printf "metrics: snapshot -> %s\n%!" path
-        | None -> ());
-        (match profile with
-        | Some path ->
-            Metrics.Export.to_file path (Metrics.Profile.folded ());
-            Printf.printf "metrics: folded profile -> %s\n%!" path
-        | None -> ());
-        (match timeseries with
-        | Some path ->
-            Metrics.Export.to_file path (Metrics.Profile.timeseries_csv ());
-            Printf.printf "metrics: timeseries -> %s\n%!" path
-        | None -> ());
+        Experiments.Scenario.with_metrics ?out:metrics_out ?profile
+          ~sample_period ?timeseries ~ts_period (fun () ->
+            run_entries ~jobs ?fault entries;
+            let samples = Metrics.Registry.snapshot () in
+            if families then Stats.Metrics_report.print_families samples;
+            Stats.Metrics_report.print samples);
         `Ok ()
   in
   Cmd.v

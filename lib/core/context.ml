@@ -1,21 +1,15 @@
 let psz = Hw.Defs.page_size
 
-type config = {
-  cache : Mcache.Dram_cache.config;
-  ept_granularity : int64;
-  readahead_normal : int;
-  readahead_sequential : int;
-  domain : Hw.Domain_x.t;
-}
+type config = { cache : Mcache.Dram_cache.config; domain : Hw.Domain_x.t }
 
 let default_config ~cache_frames =
   {
     cache = Mcache.Dram_cache.default_config ~frames:cache_frames;
-    ept_granularity = 2097152L;
-    readahead_normal = 0;
-    readahead_sequential = 32;
     domain = Hw.Domain_x.Nonroot_ring0;
   }
+
+(* GPA->HPA mappings are 2 MiB, scaled from the paper's 1 GiB (DESIGN.md §2). *)
+let ept_granularity = 2097152L
 
 type file = {
   fid : int;
@@ -40,7 +34,6 @@ type t = {
   ccache : Mcache.Dram_cache.t;
   vma : Vma.t;
   dom : Hw.Domain_x.t;
-  cfg : config;
   sys : Syscalls.t;
   mutable next_vpn : int;
   mutable next_fid : int;
@@ -58,11 +51,10 @@ let create ?(costs = Hw.Costs.default) ?machine cfg =
     ccosts = costs;
     cmachine = machine;
     pt;
-    ept = Hw.Ept.create ~granularity_bytes:cfg.ept_granularity ();
+    ept = Hw.Ept.create ~granularity_bytes:ept_granularity ();
     ccache = Mcache.Dram_cache.create ~costs ~machine ~page_table:pt cfg.cache;
     vma = Vma.create costs;
     dom = cfg.domain;
-    cfg;
     sys = Syscalls.create ();
     next_vpn = 256; (* leave a null guard region *)
     next_fid = 1;
@@ -127,6 +119,14 @@ let mmap t file ?(file_page0 = 0) ~npages () =
 
 let current_core () = (Sim.Engine.self ()).Sim.Engine.core
 
+(* Local invalidation plus one batched shootdown of the application's
+   threads, in the cache's IPI mode. *)
+let invalidate t ~core ~vpns buf =
+  Sim.Costbuf.add buf "tlb"
+    (Hw.Ipi.invalidate t.cmachine t.ccosts
+       ~mode:(Mcache.Dram_cache.config t.ccache).Mcache.Dram_cache.ipi_mode
+       ~core ~targets:t.thread_cores ~vpns)
+
 let munmap t region =
   Syscalls.intercepted t.sys t.ccosts "munmap";
   let _, cost = Vma.remove t.vma ~vstart:region.vstart in
@@ -143,23 +143,7 @@ let munmap t region =
         vpns := vpn :: !vpns
     | None -> ()
   done;
-  (match !vpns with
-  | [] -> ()
-  | vpns ->
-      let own = (Hw.Machine.core t.cmachine core).Hw.Machine.tlb in
-      let local =
-        if List.length vpns > 33 then Hw.Tlb.flush own t.ccosts
-        else
-          List.fold_left
-            (fun acc vpn ->
-              Int64.add acc (Hw.Tlb.invalidate_local own t.ccosts ~vpn))
-            0L vpns
-      in
-      Sim.Costbuf.add buf "tlb" local;
-      Sim.Costbuf.add buf "tlb"
-        (Hw.Ipi.shootdown t.cmachine t.ccosts
-           ~mode:(Mcache.Dram_cache.config t.ccache).Mcache.Dram_cache.ipi_mode
-           ~src:core ~targets:t.thread_cores ~vpns));
+  invalidate t ~core ~vpns:!vpns buf;
   Sim.Costbuf.charge buf
 
 let madvise t region advice =
@@ -185,23 +169,7 @@ let mprotect t region ~writable =
         end
     | _ -> ()
   done;
-  (match !vpns with
-  | [] -> ()
-  | vpns ->
-      let own = (Hw.Machine.core t.cmachine core).Hw.Machine.tlb in
-      let local =
-        if List.length vpns > 33 then Hw.Tlb.flush own t.ccosts
-        else
-          List.fold_left
-            (fun acc vpn ->
-              Int64.add acc (Hw.Tlb.invalidate_local own t.ccosts ~vpn))
-            0L vpns
-      in
-      Sim.Costbuf.add buf "tlb" local;
-      Sim.Costbuf.add buf "tlb"
-        (Hw.Ipi.shootdown t.cmachine t.ccosts
-           ~mode:(Mcache.Dram_cache.config t.ccache).Mcache.Dram_cache.ipi_mode
-           ~src:core ~targets:t.thread_cores ~vpns));
+  invalidate t ~core ~vpns:!vpns buf;
   Sim.Costbuf.charge buf
 
 let msync t region =
@@ -216,11 +184,14 @@ let mremap t region ~npages =
 
 let region_npages r = r.npages
 
-let readahead_for t (area : Vma.area) =
+(* Readahead window under MADV_SEQUENTIAL/MADV_WILLNEED; every other
+   advice, MADV_NORMAL included, reads only the faulting page. *)
+let readahead_sequential = 32
+
+let readahead_for (area : Vma.area) =
   match area.Vma.advice with
-  | Vma.Sequential | Vma.Willneed -> t.cfg.readahead_sequential
-  | Vma.Random | Vma.Dontneed -> 0
-  | Vma.Normal -> t.cfg.readahead_normal
+  | Vma.Sequential | Vma.Willneed -> readahead_sequential
+  | Vma.Random | Vma.Dontneed | Vma.Normal -> 0
 
 (* One page-granular access.  Returns the backing frame number.  Retries
    when the freshly installed translation is stolen by a concurrent
@@ -260,7 +231,7 @@ let rec touch_page ?(attempt = 0) t region ~page ~write buf =
           let fpage = area.Vma.file_page0 + (vpn - area.Vma.vstart) in
           let key = Mcache.Pagekey.make ~file:area.Vma.file_id ~page:fpage in
           try
-            Mcache.Dram_cache.fault t.ccache ~readahead:(readahead_for t area)
+            Mcache.Dram_cache.fault t.ccache ~readahead:(readahead_for area)
               ~core ~key ~vpn ~write ()
           with Fault.Sigbus _ as e ->
             (* media error under the mapping: deliver the signal to the

@@ -14,9 +14,6 @@
 
 type config = {
   cache : Mcache.Dram_cache.config;
-  ept_granularity : int64;  (** huge-mapping size for GPA→HPA (Section 3.5) *)
-  readahead_normal : int;  (** window under [MADV_NORMAL] *)
-  readahead_sequential : int;  (** window under [MADV_SEQUENTIAL] *)
   domain : Hw.Domain_x.t;
       (** where faults are taken: [Nonroot_ring0] is Aquila; [Ring3] turns
           the same machinery into an in-kernel custom mmio path (Kreon's
@@ -24,8 +21,9 @@ type config = {
 }
 
 val default_config : cache_frames:int -> config
-(** Defaults: Aquila cache defaults, 2 MiB EPT mappings (scaled from the
-    paper's 1 GiB — see DESIGN.md §2), no readahead for normal areas, a
+(** Defaults: Aquila cache defaults, faults in non-root ring 0.  Every
+    context maps GPA→HPA in 2 MiB EPT pages (scaled from the paper's
+    1 GiB — see DESIGN.md §2), reads no readahead for normal areas and a
     32-page window for sequential ones. *)
 
 type t

@@ -45,41 +45,36 @@ let ambient_policy = ref Mcache.Policy.Clock
 let set_policy k = ambient_policy := k
 let policy () = !ambient_policy
 
+let aquila_config ~domain ~tweak frames =
+  {
+    Aquila.Context.cache =
+      tweak
+        {
+          (Mcache.Dram_cache.default_config ~frames) with
+          Mcache.Dram_cache.policy = policy ();
+        };
+    domain;
+  }
+
 let make_aquila ?(domain = Hw.Domain_x.Nonroot_ring0) ?(tweak = Fun.id) ~frames
     ~dev () =
   let machine = Hw.Machine.create () in
   let device = fresh_device dev in
   let access = aquila_access ~domain device in
   let store = Blobstore.Store.create ~capacity_pages:device_pages () in
-  let cfg =
-    {
-      (Aquila.Context.default_config ~cache_frames:frames) with
-      Aquila.Context.cache =
-        tweak
-          {
-            (Mcache.Dram_cache.default_config ~frames) with
-            Mcache.Dram_cache.policy = policy ();
-          };
-      domain;
-    }
+  let ctx =
+    Aquila.Context.create ~costs ~machine (aquila_config ~domain ~tweak frames)
   in
-  let ctx = Aquila.Context.create ~costs ~machine cfg in
   { a_ctx = ctx; a_store = store; a_access = access; a_machine = machine }
 
 let make_aquila_access ?(domain = Hw.Domain_x.Nonroot_ring0) ?(frames = 2048)
     ~access () =
   let machine = Hw.Machine.create () in
   let store = Blobstore.Store.create ~capacity_pages:device_pages () in
-  let base = Aquila.Context.default_config ~cache_frames:frames in
-  let cfg =
-    {
-      base with
-      Aquila.Context.cache =
-        { base.Aquila.Context.cache with Mcache.Dram_cache.policy = policy () };
-      domain;
-    }
+  let ctx =
+    Aquila.Context.create ~costs ~machine
+      (aquila_config ~domain ~tweak:Fun.id frames)
   in
-  let ctx = Aquila.Context.create ~costs ~machine cfg in
   {
     a_ctx = ctx;
     a_store = store;
@@ -108,7 +103,6 @@ let make_linux ?(readahead = 32) ~frames ~dev () =
     {
       Linux_sim.Mmap_sys.cache =
         { (Linux_sim.Page_cache.default_config ~frames) with readahead };
-      vma_rb_cost_multiplier = 1;
     }
   in
   let msys = Linux_sim.Mmap_sys.create ~costs ~machine cfg in

@@ -21,6 +21,11 @@ let send_cost (c : Costs.t) = function
   | Vmexit_send -> c.ipi_send_vmexit
   | Kernel_ipi -> c.ipi_send_posted (* x2APIC write; receive side dominates *)
 
+(* Above this many pages one full TLB flush replaces per-page invlpgs
+   (Linux's tlb_single_page_flush_ceiling; Aquila applies the same rule).
+   The initiator and every receiver of a shootdown read this one value. *)
+let full_flush_above = 33
+
 let shootdown m (c : Costs.t) ~mode ~src ~targets ~vpns =
   let targets = List.filter (fun t -> t <> src) targets in
   match targets with
@@ -42,7 +47,7 @@ let shootdown m (c : Costs.t) ~mode ~src ~targets ~vpns =
       (* Receiver work: interrupt entry plus one invlpg per page (a full
          flush if the batch is large, as Linux and Aquila both do). *)
       let invalidate_cost =
-        if npages > 33 then c.tlb_full_flush
+        if npages > full_flush_above then c.tlb_full_flush
         else Int64.mul (Int64.of_int npages) c.tlb_invlpg
       in
       let per_receiver = Int64.add c.ipi_receive invalidate_cost in
@@ -58,6 +63,20 @@ let shootdown m (c : Costs.t) ~mode ~src ~targets ~vpns =
       (* Sender: one send per batch (posted IPIs broadcast), then wait for
          the slowest ack; receivers proceed in parallel. *)
       Int64.add (send_cost c mode) per_receiver
+
+let invalidate m c ~mode ~core ~targets ~vpns =
+  match vpns with
+  | [] -> 0L
+  | _ :: _ ->
+      let own = (Machine.core m core).Machine.tlb in
+      let local =
+        if List.length vpns > full_flush_above then Tlb.flush own c
+        else
+          List.fold_left
+            (fun acc vpn -> Int64.add acc (Tlb.invalidate_local own c ~vpn))
+            0L vpns
+      in
+      Int64.add local (shootdown m c ~mode ~src:core ~targets ~vpns)
 
 let shootdowns_sent () = !(sent ())
 let reset_counters () = sent () := 0

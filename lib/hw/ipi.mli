@@ -28,8 +28,22 @@ val shootdown :
     TLBs of [targets] (excluding [src], whose local invalidation the caller
     performs).  Mutates the target TLBs, queues receive work on each target
     core, and returns the cycles to charge the {e sender} (send plus
-    ack-wait).  Returns the local invalidation cost only when [targets] is
-    empty. *)
+    ack-wait).  When no target other than [src] is left it sends nothing,
+    counts no batch and returns 0. *)
+
+val invalidate :
+  Machine.t ->
+  Costs.t ->
+  mode:send_mode ->
+  core:int ->
+  targets:int list ->
+  vpns:int list ->
+  int64
+(** [invalidate m c ~mode ~core ~targets ~vpns] is a batch invalidation
+    started on [core]: the local invalidation of [vpns] (one invlpg each,
+    or one full flush past 33 pages, the threshold every receiver also
+    applies) plus one {!shootdown} of the other [targets].  Returns the
+    initiator's cycles.  An empty [vpns] does nothing and returns 0. *)
 
 val shootdowns_sent : unit -> int
 (** Global count of shootdown batches (for experiment reporting). *)

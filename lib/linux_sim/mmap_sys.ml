@@ -3,10 +3,10 @@ let psz = Hw.Defs.page_size
 module Pagekey = Mcache.Pagekey
 module Vtree = Dstruct.Rbtree.Make (Int)
 
-type config = { cache : Page_cache.config; vma_rb_cost_multiplier : int }
+type config = { cache : Page_cache.config }
 
 let default_config ~cache_frames =
-  { cache = Page_cache.default_config ~frames:cache_frames; vma_rb_cost_multiplier = 1 }
+  { cache = Page_cache.default_config ~frames:cache_frames }
 
 type file = {
   fid : int;
@@ -25,7 +25,6 @@ type t = {
   pc : Page_cache.t;
   vmas : area Vtree.t;
   mmap_sem : Sim.Sync.Mutex.t; (* held for updates; read side is a constant *)
-  cfg : config;
   mutable next_vpn : int;
   mutable next_fid : int;
   mutable thread_cores : int list;
@@ -43,7 +42,6 @@ let create ?(costs = Hw.Costs.default) ?machine cfg =
     pc = Page_cache.create ~costs ~machine ~page_table:pt cfg.cache;
     vmas = Vtree.create ();
     mmap_sem = Sim.Sync.Mutex.create ~name:"mmap_sem" ();
-    cfg;
     next_vpn = 256;
     next_fid = 1;
     thread_cores = [];
@@ -103,23 +101,10 @@ let munmap t region =
         vpns := vpn :: !vpns
     | None -> ()
   done;
-  match !vpns with
-  | [] -> ()
-  | vpns ->
-      let own = (Hw.Machine.core t.lmachine core).Hw.Machine.tlb in
-      let local =
-        if List.length vpns > 33 then Hw.Tlb.flush own t.lcosts
-        else
-          List.fold_left
-            (fun acc vpn ->
-              Int64.add acc (Hw.Tlb.invalidate_local own t.lcosts ~vpn))
-            0L vpns
-      in
-      let send =
-        Hw.Ipi.shootdown t.lmachine t.lcosts ~mode:Hw.Ipi.Kernel_ipi ~src:core
-          ~targets:t.thread_cores ~vpns
-      in
-      delay_sys ~label:"tlb" (Int64.add local send)
+  if !vpns <> [] then
+    delay_sys ~label:"tlb"
+      (Hw.Ipi.invalidate t.lmachine t.lcosts ~mode:Hw.Ipi.Kernel_ipi ~core
+         ~targets:t.thread_cores ~vpns:!vpns)
 
 let msync t region =
   delay_sys ~label:"syscall" t.lcosts.Hw.Costs.syscall;
@@ -131,7 +116,7 @@ let region_npages r = r.r_area.npages
 (* VMA lookup under mmap_sem (read side modelled as a constant plus the
    red-black walk; write-side updates take the mutex). *)
 let vma_lookup_cost t =
-  let d = max 1 (Vtree.depth_estimate t.vmas * t.cfg.vma_rb_cost_multiplier) in
+  let d = max 1 (Vtree.depth_estimate t.vmas) in
   Int64.add 120L (Int64.mul t.lcosts.Hw.Costs.vma_lookup (Int64.of_int (max 1 (d / 4))))
 
 let rec touch_page ?(attempt = 0) t region ~page ~write buf =

@@ -8,10 +8,7 @@
     shared {!Page_cache} with its [tree_lock]/[lru_lock] serialization and
     128 KiB fault readahead. *)
 
-type config = {
-  cache : Page_cache.config;
-  vma_rb_cost_multiplier : int;  (** VMA red-black walk depth factor *)
-}
+type config = { cache : Page_cache.config }
 
 val default_config : cache_frames:int -> config
 

@@ -2,22 +2,9 @@ let psz = Hw.Defs.page_size
 
 module Pagekey = Mcache.Pagekey
 
-type config = {
-  frames : int;
-  readahead : int;
-  reclaim_batch : int;
-  writeback_merge : int;
-  tree_shards : int;
-}
+type config = { frames : int; readahead : int }
 
-let default_config ~frames =
-  {
-    frames;
-    readahead = 32;
-    reclaim_batch = 32;
-    writeback_merge = 64;
-    tree_shards = 1;
-  }
+let default_config ~frames = { frames; readahead = 32 }
 
 type frame = {
   fno : int;
@@ -27,32 +14,15 @@ type frame = {
   mutable dirty : bool;
 }
 
-(* Per-file index state, split [tree_shards] ways by page (page mod
-   tree_shards): each slot owns a radix subtree, its serializing lock and
-   its dirty tags, so shard-partitioned workloads touch disjoint slots
-   and the tree_lock stops being the global serialization point —
-   which turns Fig. 5(b)'s contention from lock waiting into measurable
-   cross-shard traffic.  [tree_shards = 1] (the default, and the 4.14
-   model) is the single tree + single tree_lock the paper profiles. *)
+(* Per-file index state: one radix tree whose updates and dirty tags are
+   serialized by the file's tree_lock, as in 4.14. *)
 type file_meta = {
-  trees : frame Dstruct.Radix_tree.t array;
-  tree_locks : Sim.Sync.Mutex.t array;
-  dirty_tags : (int, unit) Hashtbl.t array; (* file pages tagged dirty *)
+  tree : frame Dstruct.Radix_tree.t;
+  tree_lock : Sim.Sync.Mutex.t;
+  dirty_tags : (int, unit) Hashtbl.t; (* file pages tagged dirty *)
   access : Sdevice.Access.t;
   translate : int -> int option;
 }
-
-let tslot m page =
-  let n = Array.length m.trees in
-  if n = 1 then 0
-  else begin
-    let s = page mod n in
-    if s < 0 then s + n else s
-  end
-
-let tree_of m page = m.trees.(tslot m page)
-let tlock_of m page = m.tree_locks.(tslot m page)
-let tags_of m page = m.dirty_tags.(tslot m page)
 
 type t = {
   costs : Hw.Costs.t;
@@ -135,17 +105,12 @@ let create ~costs ~machine ~page_table cfg =
   t
 
 let register_file t ~file_id ~access ~translate =
-  let n = max 1 t.cfg.tree_shards in
-  let lock_name s =
-    if n = 1 then Printf.sprintf "tree_lock[%d]" file_id
-    else Printf.sprintf "tree_lock[%d.%d]" file_id s
-  in
   Hashtbl.replace t.files file_id
     {
-      trees = Array.init n (fun _ -> Dstruct.Radix_tree.create ());
-      tree_locks =
-        Array.init n (fun s -> Sim.Sync.Mutex.create ~name:(lock_name s) ());
-      dirty_tags = Array.init n (fun _ -> Hashtbl.create 64);
+      tree = Dstruct.Radix_tree.create ();
+      tree_lock =
+        Sim.Sync.Mutex.create ~name:(Printf.sprintf "tree_lock[%d]" file_id) ();
+      dirty_tags = Hashtbl.create 64;
       access;
       translate;
     }
@@ -163,102 +128,77 @@ let delay_sys ?label c = Sim.Engine.delay ~cat:Sim.Engine.Sys ?label c
 let lookup t key =
   let m = meta_of t (Pagekey.file_of key) in
   delay_sys ~label:"index" t.costs.Hw.Costs.radix_lookup;
-  let page = Pagekey.page_of key in
-  Dstruct.Radix_tree.find (tree_of m page) page
+  Dstruct.Radix_tree.find m.tree (Pagekey.page_of key)
 
+(* A 0-cycle delay is still an engine event: no pages, no charge. *)
 let shootdown_vpns t ~core vpns =
-  match vpns with
-  | [] -> ()
-  | _ :: _ ->
-      let c = t.costs in
-      let own = (Hw.Machine.core t.machine core).Hw.Machine.tlb in
-      let local =
-        if List.length vpns > 33 then Hw.Tlb.flush own c
-        else
-          List.fold_left
-            (fun acc vpn -> Int64.add acc (Hw.Tlb.invalidate_local own c ~vpn))
-            0L vpns
-      in
-      let send =
-        Hw.Ipi.shootdown t.machine c ~mode:Hw.Ipi.Kernel_ipi ~src:core
-          ~targets:t.shoot_cores ~vpns
-      in
-      delay_sys ~label:"tlb" (Int64.add local send)
+  if vpns <> [] then
+    delay_sys ~label:"tlb"
+      (Hw.Ipi.invalidate t.machine t.costs ~mode:Hw.Ipi.Kernel_ipi ~core
+         ~targets:t.shoot_cores ~vpns)
+
+(* At most this many pages go into one write-back I/O. *)
+let writeback_merge = 64
 
 (* Write the given (key, frame) pairs back, merging device-contiguous
-   runs.  Entries must already be guarded (tree entries removed or pages
+   runs; a reclaim of clean victims passes no pairs and builds nothing.
+   Entries must already be guarded (tree entries removed or pages
    locked).  Suspends.  Returns the pairs whose write-back still failed
    after the access layer's retries; what to do with the casualties
    (re-tag dirty, or drop with data loss) is the caller's call. *)
-let writeback_pairs t pairs =
-  let wb0 = Sim.Probe.span_start () in
-  let sorted = List.sort (fun (a, _) (b, _) -> compare a b) pairs in
-  let flush file dev_start run =
-    match run with
-    | [] -> []
-    | _ ->
-        let entries = List.rev run in
-        let count = List.length entries in
-        let m = meta_of t file in
-        Sdevice.Bufpool.with_pages t.staging count (fun scratch ->
-            List.iteri
-              (fun i (_, (fr : frame)) -> Bytes.blit fr.data 0 scratch (i * psz) psz)
-              entries;
-            match
-              Sdevice.Access.write_pages_result m.access ~page:dev_start ~count
-                ~src:scratch
-            with
-            | Ok () ->
-                t.s_wb_ios <- t.s_wb_ios + 1;
-                Metrics.Registry.incr t.m_wb_ios;
-                []
-            | Error _ ->
-                t.s_wb_errors <- t.s_wb_errors + count;
-                if Trace.on () then Sim.Probe.instant ~cat:"fault" "wb_error";
-                entries)
-  in
-  let state = ref None in
-  let runs = ref [] in
-  List.iter
-    (fun (key, (fr : frame)) ->
-      let file = Pagekey.file_of key and page = Pagekey.page_of key in
-      let m = meta_of t file in
-      match m.translate page with
-      | None -> ()
-      | Some dev -> (
-          match !state with
-          | Some (f, start, next, run)
-            when f = file && dev = next && next - start < t.cfg.writeback_merge ->
-              state := Some (f, start, next + 1, (key, fr) :: run)
-          | Some prev ->
-              runs := prev :: !runs;
-              state := Some (file, dev, dev + 1, [ (key, fr) ])
-          | None -> state := Some (file, dev, dev + 1, [ (key, fr) ])))
-    sorted;
-  (match !state with Some last -> runs := last :: !runs | None -> ());
-  let failed =
-    List.concat_map (fun (f, start, _n, run) -> flush f start run) (List.rev !runs)
-  in
-  if pairs <> [] then
-    Sim.Probe.span_since ~cat:"linux"
-      ~value:(Int64.of_int (List.length pairs))
-      ~t0:wb0 "writeback";
-  failed
+let write_back t pairs =
+  match pairs with
+  | [] -> []
+  | _ :: _ ->
+      let failed =
+        Sdevice.Access.write_merged t.staging ~merge:writeback_merge
+          ~cat:"linux" ~key:fst
+          ~file:(fun (key, _) -> Pagekey.file_of key)
+          ~dev:(fun (key, _) ->
+            (meta_of t (Pagekey.file_of key)).translate (Pagekey.page_of key))
+          ~access:(fun file -> (meta_of t file).access)
+          ~data:(fun (_, (fr : frame)) -> fr.data)
+          ~written:(fun _ ->
+            t.s_wb_ios <- t.s_wb_ios + 1;
+            Metrics.Registry.incr t.m_wb_ios)
+          pairs
+      in
+      t.s_wb_errors <- t.s_wb_errors + List.length failed;
+      failed
 
-(* Re-tag failed write-backs dirty so a later msync/flusher round retries
-   them.  Only valid while the frames are still in the tree. *)
-let retag_dirty t failed =
+(* Write-protect [pairs] so later stores re-tag them, shoot the writable
+   translations down, write the pages back and re-tag the casualties dirty
+   for a later msync/flusher round (the frames are still in the tree).
+   Returns how many failed. *)
+let clean_pairs t ~core pairs =
+  let vpns =
+    List.filter_map
+      (fun (_, (fr : frame)) ->
+        if fr.vpn >= 0 then begin
+          (try Hw.Page_table.set_writable t.pt ~vpn:fr.vpn false
+           with Not_found -> ());
+          delay_sys ~label:"map" t.costs.Hw.Costs.pte_update;
+          Some fr.vpn
+        end
+        else None)
+      pairs
+  in
+  shootdown_vpns t ~core vpns;
+  let failed = write_back t pairs in
   List.iter
-    (fun (key, (fr : frame)) ->
+    (fun ((key, (fr : frame)), _e) ->
       let m = meta_of t (Pagekey.file_of key) in
-      let page = Pagekey.page_of key in
-      Sim.Sync.Mutex.lock (tlock_of m page);
+      Sim.Sync.Mutex.lock m.tree_lock;
       if not fr.dirty then begin
         fr.dirty <- true;
-        Hashtbl.replace (tags_of m page) page ()
+        Hashtbl.replace m.dirty_tags (Pagekey.page_of key) ()
       end;
-      Sim.Sync.Mutex.unlock (tlock_of m page))
-    failed
+      Sim.Sync.Mutex.unlock m.tree_lock)
+    failed;
+  List.length failed
+
+(* Direct-reclaim scan batch (Linux's SWAP_CLUSTER_MAX). *)
+let reclaim_batch = 32
 
 (* Direct reclaim by the faulting thread: scan the global LRU under
    [lru_lock], then tear down each victim under its file's [tree_lock]. *)
@@ -266,7 +206,7 @@ let reclaim t ~core =
   let c = t.costs in
   let rc0 = Sim.Probe.span_start () in
   Sim.Sync.Mutex.lock t.lru_lock;
-  let victims = Dstruct.Clock_lru.evict_candidates t.lru t.cfg.reclaim_batch in
+  let victims = Dstruct.Clock_lru.evict_candidates t.lru reclaim_batch in
   delay_sys ~label:"lru"
     (Int64.mul c.lru_update (Int64.of_int (max 1 (List.length victims))));
   Sim.Sync.Mutex.unlock t.lru_lock;
@@ -282,17 +222,17 @@ let reclaim t ~core =
         let key = fr.key in
         let m = meta_of t (Pagekey.file_of key) in
         let page = Pagekey.page_of key in
-        Sim.Sync.Mutex.lock (tlock_of m page);
+        Sim.Sync.Mutex.lock m.tree_lock;
         (* re-check under the lock *)
         if fr.key = key && not (Dstruct.Clock_lru.is_referenced t.lru fno) then begin
-          ignore (Dstruct.Radix_tree.remove (tree_of m page) page);
+          ignore (Dstruct.Radix_tree.remove m.tree page);
           delay_sys ~label:"index" c.radix_update;
           (* object-based reverse-mapping walk to find the PTEs — the CPU
              cost FastMap [50] replaces with full reverse mappings *)
           delay_sys ~label:"evict" 900L;
           let was_dirty = fr.dirty in
           if was_dirty then begin
-            Hashtbl.remove (tags_of m page) page;
+            Hashtbl.remove m.dirty_tags page;
             fr.dirty <- false
           end;
           let iv =
@@ -303,11 +243,11 @@ let reclaim t ~core =
             end
             else None
           in
-          Sim.Sync.Mutex.unlock (tlock_of m page);
+          Sim.Sync.Mutex.unlock m.tree_lock;
           torn := (key, fr, iv) :: !torn
         end
         else begin
-          Sim.Sync.Mutex.unlock (tlock_of m page);
+          Sim.Sync.Mutex.unlock m.tree_lock;
           Dstruct.Clock_lru.set_active t.lru fno true
         end
       end)
@@ -336,7 +276,7 @@ let reclaim t ~core =
   (* the victims are already torn out of the tree and unmapped; a failed
      write-back here loses the data, like the kernel dropping a page after
      AS_EIO — the error is counted, the frame is recycled regardless *)
-  ignore (writeback_pairs t dirty_pairs);
+  ignore (write_back t dirty_pairs);
   List.iter
     (fun (key, _, iv) ->
       match iv with
@@ -415,7 +355,7 @@ let fill t ~core ~key =
     match m.translate p with
     | Some d
       when d = dev + !n
-           && (not (Dstruct.Radix_tree.mem (tree_of m p) p))
+           && (not (Dstruct.Radix_tree.mem m.tree p))
            && not (Hashtbl.mem t.inflight k) ->
         let fr = alloc_frame t ~core 0 in
         let iv = Sim.Sync.Ivar.create () in
@@ -445,13 +385,12 @@ let fill t ~core ~key =
       fr.key <- k;
       fr.dirty <- false;
       fr.vpn <- -1;
-      let kp = Pagekey.page_of k in
-      Sim.Sync.Mutex.lock (tlock_of m kp);
-      ignore (Dstruct.Radix_tree.insert (tree_of m kp) kp fr);
+      Sim.Sync.Mutex.lock m.tree_lock;
+      ignore (Dstruct.Radix_tree.insert m.tree (Pagekey.page_of k) fr);
       (* radix insert plus memcg charge + node accounting, all under the
          lock, as in 4.14's add_to_page_cache_lru *)
       delay_sys ~label:"index" (Int64.add c.radix_update 600L);
-      Sim.Sync.Mutex.unlock (tlock_of m kp);
+      Sim.Sync.Mutex.unlock m.tree_lock;
       Sim.Sync.Mutex.lock t.lru_lock;
       Dstruct.Clock_lru.set_active t.lru fr.fno true;
       Dstruct.Clock_lru.touch t.lru fr.fno;
@@ -468,20 +407,16 @@ let fill t ~core ~key =
   match window with (_, _, fr) :: _ -> fr | [] -> assert false
 
 let total_dirty t =
-  Hashtbl.fold
-    (fun _ m acc ->
-      Array.fold_left (fun a tags -> a + Hashtbl.length tags) acc m.dirty_tags)
-    t.files 0
+  Hashtbl.fold (fun _ m acc -> acc + Hashtbl.length m.dirty_tags) t.files 0
 
 let set_dirty t key (fr : frame) =
   let m = meta_of t (Pagekey.file_of key) in
   if not fr.dirty then begin
-    let page = Pagekey.page_of key in
-    Sim.Sync.Mutex.lock (tlock_of m page);
+    Sim.Sync.Mutex.lock m.tree_lock;
     fr.dirty <- true;
-    Hashtbl.replace (tags_of m page) page ();
+    Hashtbl.replace m.dirty_tags (Pagekey.page_of key) ();
     delay_sys ~label:"dirty" t.costs.Hw.Costs.radix_update;
-    Sim.Sync.Mutex.unlock (tlock_of m page);
+    Sim.Sync.Mutex.unlock m.tree_lock;
     if Trace.on () then
       Sim.Probe.counter ~cat:"linux" "dirty_pages"
         (Int64.of_int (total_dirty t));
@@ -549,8 +484,7 @@ let buffered_read t ~core ~key =
 
 let set_dirty_key t ~key =
   let m = meta_of t (Pagekey.file_of key) in
-  let page = Pagekey.page_of key in
-  match Dstruct.Radix_tree.find (tree_of m page) page with
+  match Dstruct.Radix_tree.find m.tree (Pagekey.page_of key) with
   | Some fr -> set_dirty t key fr
   | None -> ()
 
@@ -558,73 +492,40 @@ let pfn_data t pfn = t.arr.(pfn).data
 
 let is_resident t ~key =
   let m = meta_of t (Pagekey.file_of key) in
-  let page = Pagekey.page_of key in
-  Dstruct.Radix_tree.mem (tree_of m page) page
+  Dstruct.Radix_tree.mem m.tree (Pagekey.page_of key)
 
 let msync_file t ~core ~file_id =
   let c = t.costs in
   let m = meta_of t file_id in
-  (* One lock acquisition per slot per msync (ascending slot order) keeps
-     [tree_shards = 1] byte-identical to the single-tree model. *)
+  Sim.Sync.Mutex.lock m.tree_lock;
+  let pages = Hashtbl.fold (fun p () acc -> p :: acc) m.dirty_tags [] in
   let pairs =
-    List.concat
-      (List.init (Array.length m.trees) (fun s ->
-           let lock = m.tree_locks.(s)
-           and tree = m.trees.(s)
-           and tags = m.dirty_tags.(s) in
-           Sim.Sync.Mutex.lock lock;
-           let pages = Hashtbl.fold (fun p () acc -> p :: acc) tags [] in
-           let pairs =
-             List.filter_map
-               (fun p ->
-                 match Dstruct.Radix_tree.find tree p with
-                 | Some fr when fr.dirty ->
-                     fr.dirty <- false;
-                     Hashtbl.remove tags p;
-                     delay_sys ~label:"dirty" c.radix_update;
-                     Some (Pagekey.make ~file:file_id ~page:p, fr)
-                 | _ -> None)
-               (List.sort compare pages)
-           in
-           Sim.Sync.Mutex.unlock lock;
-           pairs))
-  in
-  (* write-protect so future writes re-tag *)
-  let vpns =
     List.filter_map
-      (fun (_, (fr : frame)) ->
-        if fr.vpn >= 0 then begin
-          (try Hw.Page_table.set_writable t.pt ~vpn:fr.vpn false
-           with Not_found -> ());
-          delay_sys ~label:"map" c.pte_update;
-          Some fr.vpn
-        end
-        else None)
-      pairs
+      (fun p ->
+        match Dstruct.Radix_tree.find m.tree p with
+        | Some fr when fr.dirty ->
+            fr.dirty <- false;
+            Hashtbl.remove m.dirty_tags p;
+            delay_sys ~label:"dirty" c.radix_update;
+            Some (Pagekey.make ~file:file_id ~page:p, fr)
+        | _ -> None)
+      (List.sort compare pages)
   in
-  shootdown_vpns t ~core vpns;
-  retag_dirty t (writeback_pairs t pairs)
+  Sim.Sync.Mutex.unlock m.tree_lock;
+  ignore (clean_pairs t ~core pairs)
 
 let drop_file t ~core ~file_id =
   let c = t.costs in
   msync_file t ~core ~file_id;
   let m = meta_of t file_id in
-  let entries =
-    List.concat
-      (List.init (Array.length m.trees) (fun s ->
-           let lock = m.tree_locks.(s) and tree = m.trees.(s) in
-           Sim.Sync.Mutex.lock lock;
-           let entries =
-             Dstruct.Radix_tree.fold (fun p fr acc -> (p, fr) :: acc) tree []
-           in
-           List.iter
-             (fun (p, _) ->
-               ignore (Dstruct.Radix_tree.remove tree p);
-               delay_sys ~label:"index" c.radix_update)
-             entries;
-           Sim.Sync.Mutex.unlock lock;
-           entries))
-  in
+  Sim.Sync.Mutex.lock m.tree_lock;
+  let entries = Dstruct.Radix_tree.fold (fun p fr acc -> (p, fr) :: acc) m.tree [] in
+  List.iter
+    (fun (p, _) ->
+      ignore (Dstruct.Radix_tree.remove m.tree p);
+      delay_sys ~label:"index" c.radix_update)
+    entries;
+  Sim.Sync.Mutex.unlock m.tree_lock;
   let vpns =
     List.filter_map
       (fun (_, (fr : frame)) ->
@@ -657,49 +558,27 @@ let flush_some t ~core ~batch =
   let taken = ref [] in
   Hashtbl.iter
     (fun file_id m ->
-      Array.iteri
-        (fun s tags ->
-          if List.length !taken < batch then begin
-            let lock = m.tree_locks.(s) and tree = m.trees.(s) in
-            Sim.Sync.Mutex.lock lock;
-            let pages = Hashtbl.fold (fun p () acc -> p :: acc) tags [] in
-            let pages = List.sort compare pages in
-            List.iteri
-              (fun i p ->
-                if i < batch - List.length !taken then
-                  match Dstruct.Radix_tree.find tree p with
-                  | Some fr when fr.dirty ->
-                      fr.dirty <- false;
-                      Hashtbl.remove tags p;
-                      delay_sys ~label:"dirty" t.costs.Hw.Costs.radix_update;
-                      taken := (Pagekey.make ~file:file_id ~page:p, fr) :: !taken
-                  | _ -> Hashtbl.remove tags p)
-              pages;
-            Sim.Sync.Mutex.unlock lock
-          end)
-        m.dirty_tags)
+      if List.length !taken < batch then begin
+        Sim.Sync.Mutex.lock m.tree_lock;
+        let pages = Hashtbl.fold (fun p () acc -> p :: acc) m.dirty_tags [] in
+        List.iteri
+          (fun i p ->
+            if i < batch - List.length !taken then
+              match Dstruct.Radix_tree.find m.tree p with
+              | Some fr when fr.dirty ->
+                  fr.dirty <- false;
+                  Hashtbl.remove m.dirty_tags p;
+                  delay_sys ~label:"dirty" t.costs.Hw.Costs.radix_update;
+                  taken := (Pagekey.make ~file:file_id ~page:p, fr) :: !taken
+              | _ -> Hashtbl.remove m.dirty_tags p)
+          (List.sort compare pages);
+        Sim.Sync.Mutex.unlock m.tree_lock
+      end)
     t.files;
-  let pairs = !taken in
-  (* write-protect so later stores re-dirty *)
-  let vpns =
-    List.filter_map
-      (fun (_, (fr : frame)) ->
-        if fr.vpn >= 0 then begin
-          (try Hw.Page_table.set_writable t.pt ~vpn:fr.vpn false
-           with Not_found -> ());
-          delay_sys ~label:"map" t.costs.Hw.Costs.pte_update;
-          Some fr.vpn
-        end
-        else None)
-      pairs
-  in
-  shootdown_vpns t ~core vpns;
-  let failed = writeback_pairs t pairs in
-  retag_dirty t failed;
   (* report pages actually cleaned, so an error storm (everything failing)
      reads as "no progress" and the flusher backs off to its waitq instead
      of spinning *)
-  List.length pairs - List.length failed
+  List.length !taken - clean_pairs t ~core !taken
 
 let spawn_flusher t ~eng ?(hi = 256) ?(lo = 64) ?(core = 0) () =
   if t.flusher <> None then invalid_arg "Page_cache: flusher already running";
@@ -732,10 +611,7 @@ let sigbus_count t = t.s_sigbus
 
 let tree_lock_contended t =
   Hashtbl.fold
-    (fun _ m acc ->
-      Array.fold_left
-        (fun a l -> Int64.add a (Sim.Sync.Mutex.contended_cycles l))
-        acc m.tree_locks)
+    (fun _ m acc -> Int64.add acc (Sim.Sync.Mutex.contended_cycles m.tree_lock))
     t.files 0L
 
 let lru_lock_contended t = Sim.Sync.Mutex.contended_cycles t.lru_lock

@@ -15,15 +15,6 @@
 type config = {
   frames : int;
   readahead : int;  (** pages read around a miss; Linux defaults to 32 (128 KiB) *)
-  reclaim_batch : int;  (** direct-reclaim scan batch (32) *)
-  writeback_merge : int;
-  tree_shards : int;
-      (** split each file's radix tree, [tree_lock] and dirty tags
-          [tree_shards] ways by [page mod tree_shards].  [1] (the
-          default) is the 4.14 single-tree model and byte-identical to
-          the pre-sharded code; [> 1] gives shard-partitioned workloads
-          disjoint slots so the tree_lock stops being the global
-          serialization point. *)
 }
 
 val default_config : frames:int -> config

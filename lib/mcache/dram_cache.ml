@@ -201,88 +201,9 @@ let set_shoot_cores t cores = t.shoot_cores <- cores
 (* Account the local invalidations and the batched shootdown for [vpns];
    mutates every target TLB immediately (pure — no suspension). *)
 let invalidate_mappings t ~core ~vpns buf =
-  match vpns with
-  | [] -> ()
-  | _ :: _ ->
-      let c = t.costs in
-      let own = (Hw.Machine.core t.machine core).Hw.Machine.tlb in
-      let local =
-        if List.length vpns > 33 then Hw.Tlb.flush own c
-        else
-          List.fold_left
-            (fun acc vpn -> Int64.add acc (Hw.Tlb.invalidate_local own c ~vpn))
-            0L vpns
-      in
-      Sim.Costbuf.add buf "tlb" local;
-      Sim.Costbuf.add buf "tlb"
-        (Hw.Ipi.shootdown t.machine c ~mode:t.cfg.ipi_mode ~src:core
-           ~targets:t.shoot_cores ~vpns)
-
-(* Write [frames] back to their devices in ascending key order, merging
-   runs of device-contiguous pages into single I/Os.  Suspends.  Returns
-   the frames whose run still failed after the access layer's retries,
-   with the final error — callers must keep those pages dirty (graceful
-   degradation: a failed write-back is never data loss). *)
-let writeback_frames t frames buf =
-  let c = t.costs in
-  let wb0 = Sim.Probe.span_start () in
-  let items = List.sort (fun (a : frame) b -> Int.compare a.key b.key) frames in
-  let flush_run file dev_start run =
-    match run with
-    | [] -> []
-    | _ :: _ ->
-        let frames_in_order = List.rev run in
-        let count = List.length frames_in_order in
-        let backend = backend_of t file in
-        Sdevice.Bufpool.with_pages t.staging count (fun scratch ->
-            List.iteri
-              (fun i (fr : frame) -> Bytes.blit fr.data 0 scratch (i * psz) psz)
-              frames_in_order;
-            match
-              Sdevice.Access.write_pages_result backend.access ~page:dev_start
-                ~count ~src:scratch
-            with
-            | Ok () ->
-                t.s_wb_ios <- t.s_wb_ios + 1;
-                t.s_wb_pages <- t.s_wb_pages + count;
-                Metrics.Registry.incr t.m_wb_ios;
-                Metrics.Registry.add t.m_wb_pages count;
-                []
-            | Error e ->
-                if Trace.on () then Sim.Probe.instant ~cat:"fault" "wb_error";
-                List.map (fun fr -> (fr, e)) frames_in_order)
-  in
-  let state = ref None in
-  let runs = ref [] in
-  List.iter
-    (fun (fr : frame) ->
-      let file = Pagekey.file_of fr.key and page = Pagekey.page_of fr.key in
-      let backend = backend_of t file in
-      match backend.translate page with
-      | None -> ()
-      | Some dev ->
-          Sim.Costbuf.add buf "writeback" c.radix_lookup;
-          (match !state with
-          | Some (f, start, next, run)
-            when f = file && dev = next && next - start < t.cfg.writeback_merge ->
-              state := Some (f, start, next + 1, fr :: run)
-          | Some prev ->
-              runs := prev :: !runs;
-              state := Some (file, dev, dev + 1, [ fr ])
-          | None -> state := Some (file, dev, dev + 1, [ fr ])))
-    items;
-  (match !state with Some last -> runs := last :: !runs | None -> ());
-  (* Issue the I/Os after run computation (the blits snapshot the data). *)
-  let failed =
-    List.concat_map
-      (fun (f, start, _next, run) -> flush_run f start run)
-      (List.rev !runs)
-  in
-  if frames <> [] then
-    Sim.Probe.span_since ~cat:"mcache"
-      ~value:(Int64.of_int (List.length frames))
-      ~t0:wb0 "writeback";
-  failed
+  Sim.Costbuf.add buf "tlb"
+    (Hw.Ipi.invalidate t.machine t.costs ~mode:t.cfg.ipi_mode ~core
+       ~targets:t.shoot_cores ~vpns)
 
 (* An error storm — this many consecutive write-back rounds with
    failures — degrades the cache to read-only: refusing new writes beats
@@ -302,18 +223,103 @@ let note_wb_outcome t ~failed =
   end
   else t.wb_fail_streak <- 0
 
-(* Put write-back casualties back on the books: still resident, still
-   dirty (unless a concurrent store already re-dirtied them during the
-   suspension). *)
-let requeue_failed_dirty t buf failed =
+(* Write [frames] back in ascending key order, merging runs of
+   device-contiguous pages into single I/Os; an eviction of clean victims
+   passes no frames and builds nothing.  Suspends.  Returns the frames
+   whose run still failed after the access layer's retries, with the final
+   error; they are put back on the books still resident and still dirty
+   (graceful degradation: a failed write-back is never data loss). *)
+let write_back t frames buf =
+  match frames with
+  | [] -> []
+  | _ :: _ ->
+      let failed =
+        Sdevice.Access.write_merged t.staging ~merge:t.cfg.writeback_merge
+          ~cat:"mcache"
+          ~key:(fun (fr : frame) -> fr.key)
+          ~file:(fun (fr : frame) -> Pagekey.file_of fr.key)
+          ~dev:(fun (fr : frame) ->
+            let b = backend_of t (Pagekey.file_of fr.key) in
+            let dev = b.translate (Pagekey.page_of fr.key) in
+            if Option.is_some dev then
+              Sim.Costbuf.add buf "writeback" t.costs.Hw.Costs.radix_lookup;
+            dev)
+          ~access:(fun file -> (backend_of t file).access)
+          ~data:(fun (fr : frame) -> fr.data)
+          ~written:(fun count ->
+            t.s_wb_ios <- t.s_wb_ios + 1;
+            t.s_wb_pages <- t.s_wb_pages + count;
+            Metrics.Registry.incr t.m_wb_ios;
+            Metrics.Registry.add t.m_wb_pages count)
+          frames
+      in
+      note_wb_outcome t ~failed:(List.length failed);
+      (* a concurrent store may have re-dirtied a casualty meanwhile *)
+      List.iter
+        (fun ((fr : frame), _e) ->
+          if not fr.dirty then begin
+            fr.dirty <- true;
+            Sim.Costbuf.add buf "writeback"
+              (Dirty_set.add t.dirty ~core:fr.dirty_core ~key:fr.key
+                 ~frame:fr.fno)
+          end)
+        failed;
+      failed
+
+(* Take [frames] out of the cache ahead of their write-back: drop their
+   index entries and dirty marks, tear down their translations and
+   invalidate the TLBs in one batch.  Returns the frames that were dirty.
+   Pure — no suspension, so concurrent faults see a consistent cache. *)
+let detach t ~core frames buf =
+  let c = t.costs in
+  List.iter
+    (fun (fr : frame) ->
+      ignore (Dstruct.Lockfree_hash.remove t.index fr.key);
+      Sim.Costbuf.add buf "evict" c.hash_update)
+    frames;
+  let dirty = List.filter (fun (fr : frame) -> fr.dirty) frames in
+  List.iter
+    (fun (fr : frame) ->
+      Sim.Costbuf.add buf "evict"
+        (Dirty_set.remove t.dirty ~core:fr.dirty_core ~key:fr.key);
+      fr.dirty <- false)
+    dirty;
+  let vpns =
+    List.filter_map
+      (fun (fr : frame) ->
+        if fr.vpn >= 0 then begin
+          ignore (Hw.Page_table.unmap t.pt ~vpn:fr.vpn);
+          Sim.Costbuf.add buf "evict" c.pte_update;
+          let v = fr.vpn in
+          fr.vpn <- -1;
+          Some v
+        end
+        else None)
+      frames
+  in
+  invalidate_mappings t ~core ~vpns buf;
+  dirty
+
+(* Write-back casualties of a teardown stay resident: back into the index
+   (and the policy, [touched] as given).  Every other frame is freed.
+   Returns how many were freed. *)
+let release t ~core ~touched frames failed buf =
   List.iter
     (fun ((fr : frame), _e) ->
-      if not fr.dirty then begin
-        fr.dirty <- true;
-        Sim.Costbuf.add buf "writeback"
-          (Dirty_set.add t.dirty ~core:fr.dirty_core ~key:fr.key ~frame:fr.fno)
+      ignore (Dstruct.Lockfree_hash.insert t.index fr.key fr);
+      Sim.Costbuf.add buf "evict" t.costs.hash_update;
+      Policy.note_insert t.pol fr.fno ~touched)
+    failed;
+  let failed_frames = List.map fst failed in
+  List.fold_left
+    (fun n (fr : frame) ->
+      if List.memq fr failed_frames then n
+      else begin
+        fr.key <- -1;
+        Sim.Costbuf.add buf "alloc" (Freelist.free t.fl ~core fr.fno);
+        n + 1
       end)
-    failed
+    0 frames
 
 (* Synchronously evict a batch of frames (Section 3.2).  The index
    removal, in-flight guards, PTE teardown and shootdown all happen
@@ -342,76 +348,31 @@ let evict_batch_now t ~core buf =
   | [] -> false
   | _ :: _ ->
       let ev0 = Sim.Probe.span_start () in
-      let c = t.costs in
-      let dirty_frames = List.filter (fun (fr : frame) -> fr.dirty) frames in
-      (* 1. Drop index entries; guard dirty victims with in-flight markers
-         so concurrent faults wait for the write-back. *)
-      List.iter
-        (fun (fr : frame) ->
-          ignore (Dstruct.Lockfree_hash.remove t.index fr.key);
-          Sim.Costbuf.add buf "evict" c.hash_update)
-        frames;
+      (* 1. Drop index entries, tear down translations and invalidate TLBs
+         (batched); guard dirty victims with in-flight markers so
+         concurrent faults wait for the write-back. *)
+      let dirty_frames = detach t ~core frames buf in
       let guards =
         List.map
           (fun (fr : frame) ->
             let iv = Sim.Sync.Ivar.create () in
             Hashtbl.replace t.inflight fr.key iv;
-            (fr, iv))
+            (fr.key, iv))
           dirty_frames
       in
+      (* 2. Merged, offset-sorted write-back (suspends). *)
+      let failed = write_back t dirty_frames buf in
+      (* 3. Failed victims survive the eviction, LRU active so they are not
+         the next victims again, and are back in the index before the
+         guards release any waiting faulter; the rest is recycled. *)
+      let recycled = release t ~core ~touched:true frames failed buf in
       List.iter
-        (fun (fr : frame) ->
-          Sim.Costbuf.add buf "evict"
-            (Dirty_set.remove t.dirty ~core:fr.dirty_core ~key:fr.key);
-          fr.dirty <- false)
-        dirty_frames;
-      (* 2. Tear down translations and invalidate TLBs (batched). *)
-      let vpns =
-        List.filter_map
-          (fun (fr : frame) ->
-            if fr.vpn >= 0 then begin
-              ignore (Hw.Page_table.unmap t.pt ~vpn:fr.vpn);
-              Sim.Costbuf.add buf "evict" c.pte_update;
-              let v = fr.vpn in
-              fr.vpn <- -1;
-              Some v
-            end
-            else None)
-          frames
-      in
-      invalidate_mappings t ~core ~vpns buf;
-      (* 3. Merged, offset-sorted write-back (suspends). *)
-      let failed = writeback_frames t dirty_frames buf in
-      if dirty_frames <> [] then
-        note_wb_outcome t ~failed:(List.length failed);
-      (* Failed victims survive the eviction: back into the index (before
-         the guards release any waiting faulters) and the dirty set, LRU
-         active so they are not the next victims again. *)
-      requeue_failed_dirty t buf failed;
-      List.iter
-        (fun ((fr : frame), _e) ->
-          ignore (Dstruct.Lockfree_hash.insert t.index fr.key fr);
-          Sim.Costbuf.add buf "evict" c.hash_update;
-          Policy.note_insert t.pol fr.fno ~touched:true)
-        failed;
-      List.iter
-        (fun ((fr : frame), iv) ->
-          Hashtbl.remove t.inflight fr.key;
+        (fun (key, iv) ->
+          Hashtbl.remove t.inflight key;
           Sim.Sync.Ivar.fill iv ())
         guards;
-      (* 4. Recycle everything that actually made it out. *)
-      let failed_frames = List.map fst failed in
-      let recycled = ref 0 in
-      List.iter
-        (fun (fr : frame) ->
-          if not (List.memq fr failed_frames) then begin
-            fr.key <- -1;
-            incr recycled;
-            Sim.Costbuf.add buf "alloc" (Freelist.free t.fl ~core fr.fno)
-          end)
-        frames;
-      t.s_evictions <- t.s_evictions + !recycled;
-      Metrics.Registry.add t.m_evictions !recycled;
+      t.s_evictions <- t.s_evictions + recycled;
+      Metrics.Registry.add t.m_evictions recycled;
       if Trace.on () then begin
         Sim.Probe.span_since ~cat:"mcache"
           ~value:(Int64.of_int (List.length frames))
@@ -419,7 +380,7 @@ let evict_batch_now t ~core buf =
         Sim.Probe.counter ~cat:"mcache" "dirty_pages"
           (Int64.of_int (Dirty_set.total t.dirty))
       end;
-      !recycled > 0
+      recycled > 0
 
 (* Concurrent faulting threads coalesce on one evictor: a stampede of
    per-thread batch evictions would wipe the whole cache under pressure. *)
@@ -661,9 +622,7 @@ let clean t ~core ?file ?limit () =
     in
     invalidate_mappings t ~core ~vpns buf;
     List.iter (fun (fr : frame) -> fr.dirty <- false) frames;
-    let failed = writeback_frames t frames buf in
-    if frames <> [] then note_wb_outcome t ~failed:(List.length failed);
-    requeue_failed_dirty t buf failed;
+    let failed = write_back t frames buf in
     Sim.Costbuf.charge buf;
     failed
   end
@@ -720,7 +679,6 @@ let stop_writeback_daemon t =
   ignore (Sim.Sync.Waitq.signal t.wb_waitq)
 
 let drop_file t ~core ~file_id =
-  let c = t.costs in
   let buf = Sim.Costbuf.create () in
   let victims = ref [] in
   Dstruct.Lockfree_hash.iter
@@ -728,52 +686,11 @@ let drop_file t ~core ~file_id =
       if Pagekey.file_of key = file_id then victims := fr :: !victims)
     t.index;
   let frames = !victims in
-  let dirty_frames = List.filter (fun (fr : frame) -> fr.dirty) frames in
-  List.iter
-    (fun (fr : frame) ->
-      ignore (Dstruct.Lockfree_hash.remove t.index fr.key);
-      Sim.Costbuf.add buf "evict" c.hash_update;
-      Policy.note_remove t.pol fr.fno)
-    frames;
-  List.iter
-    (fun (fr : frame) ->
-      Sim.Costbuf.add buf "evict"
-        (Dirty_set.remove t.dirty ~core:fr.dirty_core ~key:fr.key);
-      fr.dirty <- false)
-    dirty_frames;
-  let vpns =
-    List.filter_map
-      (fun (fr : frame) ->
-        if fr.vpn >= 0 then begin
-          ignore (Hw.Page_table.unmap t.pt ~vpn:fr.vpn);
-          Sim.Costbuf.add buf "evict" c.pte_update;
-          let v = fr.vpn in
-          fr.vpn <- -1;
-          Some v
-        end
-        else None)
-      frames
-  in
-  invalidate_mappings t ~core ~vpns buf;
-  let failed = writeback_frames t dirty_frames buf in
-  if dirty_frames <> [] then note_wb_outcome t ~failed:(List.length failed);
+  List.iter (fun (fr : frame) -> Policy.note_remove t.pol fr.fno) frames;
+  let failed = write_back t (detach t ~core frames buf) buf in
   (* write-back casualties stay resident and dirty rather than being
      dropped with unsaved data (the next msync/daemon round retries) *)
-  requeue_failed_dirty t buf failed;
-  List.iter
-    (fun ((fr : frame), _e) ->
-      ignore (Dstruct.Lockfree_hash.insert t.index fr.key fr);
-      Sim.Costbuf.add buf "evict" c.hash_update;
-      Policy.note_insert t.pol fr.fno ~touched:false)
-    failed;
-  let failed_frames = List.map fst failed in
-  List.iter
-    (fun (fr : frame) ->
-      if not (List.memq fr failed_frames) then begin
-        fr.key <- -1;
-        Sim.Costbuf.add buf "alloc" (Freelist.free t.fl ~core fr.fno)
-      end)
-    frames;
+  ignore (release t ~core ~touched:false frames failed buf);
   Sim.Costbuf.charge buf
 
 (* Failure injection: power loss.  Volatile state — every cached frame,

@@ -232,3 +232,54 @@ let write_pages t ~page ~count ~src =
 
 let read_page t ~page ~dst = read_pages t ~page ~count:1 ~dst
 let write_page t ~page ~src = write_pages t ~page ~count:1 ~src
+
+(* Sorted, merged write-back (Section 3.2; the Linux page cache merges the
+   same way).  Every page is translated before the first write, so a
+   translation cost the caller charges in [dev] lands before the I/O; each
+   run's bytes are staged only when its write is issued. *)
+let write_merged staging ~merge ~cat ~key ~file ~dev ~access ~data ~written
+    items =
+  let t0 = Sim.Probe.span_start () in
+  let sorted = List.sort (fun a b -> Int.compare (key a) (key b)) items in
+  let runs = ref [] and run = ref [] in
+  let run_file = ref 0 and start = ref 0 and next = ref 0 in
+  let close () =
+    if !run <> [] then
+      runs := (!run_file, !start, !next - !start, List.rev !run) :: !runs
+  in
+  List.iter
+    (fun x ->
+      match dev x with
+      | None -> ()
+      | Some d ->
+          let f = file x in
+          if !run <> [] && f = !run_file && d = !next && !next - !start < merge
+          then begin
+            run := x :: !run;
+            incr next
+          end
+          else begin
+            close ();
+            run_file := f;
+            start := d;
+            next := d + 1;
+            run := [ x ]
+          end)
+    sorted;
+  close ();
+  let write (f, page, count, run) =
+    Bufpool.with_pages staging count (fun src ->
+        List.iteri (fun i x -> Bytes.blit (data x) 0 src (i * psz) psz) run;
+        match write_pages_result (access f) ~page ~count ~src with
+        | Ok () ->
+            written count;
+            []
+        | Error e ->
+            if Trace.on () then Sim.Probe.instant ~cat:"fault" "wb_error";
+            List.map (fun x -> (x, e)) run)
+  in
+  let failed = List.concat_map write (List.rev !runs) in
+  if items <> [] then
+    Sim.Probe.span_since ~cat ~value:(Int64.of_int (List.length items)) ~t0
+      "writeback";
+  failed

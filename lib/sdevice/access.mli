@@ -71,3 +71,26 @@ val write_pages_result :
 
 val read_page : t -> page:int -> dst:Bytes.t -> unit
 val write_page : t -> page:int -> src:Bytes.t -> unit
+
+val write_merged :
+  Bufpool.pages ->
+  merge:int ->
+  cat:string ->
+  key:('a -> int) ->
+  file:('a -> int) ->
+  dev:('a -> int option) ->
+  access:(int -> t) ->
+  data:('a -> Bytes.t) ->
+  written:(int -> unit) ->
+  'a list ->
+  ('a * Fault.error) list
+(** [write_merged staging ~merge ~cat ~key ~file ~dev ~access ~data
+    ~written items] is the write-back both page caches use.  It sorts
+    [items] by [key], skips those whose [dev] (device page) is [None],
+    and splits the rest into runs of at most [merge] device-contiguous
+    pages of one [file].  Each run's [data] pages are staged in a
+    [staging] buffer and written to [access file] by
+    {!write_pages_result}; [written count] follows every run that reached
+    the device.  Returns the items of the failed runs with their final
+    error, in key order.  Suspends; a non-empty call is one "writeback"
+    span of category [cat]. *)

@@ -74,7 +74,6 @@ let make_rig ?(frames = 32) ?(max_frames = 64) ?(file_pages = 256)
   let cfg0 = Aquila.Context.default_config ~cache_frames:frames in
   let cfg =
     {
-      cfg0 with
       Aquila.Context.domain;
       cache = { cfg0.Aquila.Context.cache with Mcache.Dram_cache.max_frames };
     }

@@ -1,4 +1,4 @@
-(* Tests for the blobstore and file namespace (lib/blobstore). *)
+(* Tests for the blobstore (lib/blobstore). *)
 
 let checki = Alcotest.(check int)
 
@@ -97,89 +97,6 @@ let alloc_reuse_prop =
           !ok)
         !blobs)
 
-(* ---- File namespace ---- *)
-
-let file_ns_basic () =
-  let s = mk () in
-  let ns = Blobstore.File_ns.create s in
-  let f1 = Blobstore.File_ns.open_file ns "/data/a.sst" ~size_pages:64 in
-  let f2 = Blobstore.File_ns.open_file ns "/data/a.sst" ~size_pages:32 in
-  checki "same blob on reopen" (Blobstore.Store.blob_id f1) (Blobstore.Store.blob_id f2);
-  let f3 = Blobstore.File_ns.open_file ns "/data/a.sst" ~size_pages:128 in
-  checki "grown on bigger open" 128 (Blobstore.Store.blob_pages f3);
-  checki "two names max one file" 1 (List.length (Blobstore.File_ns.files ns));
-  Alcotest.(check bool) "unlink" true (Blobstore.File_ns.unlink ns "/data/a.sst");
-  Alcotest.(check bool) "unlink twice" false (Blobstore.File_ns.unlink ns "/data/a.sst");
-  Alcotest.(check bool) "lookup gone" true (Blobstore.File_ns.lookup ns "/data/a.sst" = None)
-
-(* ---- BlobFS ---- *)
-
-let in_sim f =
-  let eng = Sim.Engine.create () in
-  ignore (Sim.Engine.spawn eng ~core:0 f);
-  Sim.Engine.run eng;
-  eng
-
-let blobfs_rig () =
-  let store = Blobstore.Store.create ~capacity_pages:4096 () in
-  let nvme = Sdevice.Nvme.create () in
-  let access = Sdevice.Access.spdk_nvme Hw.Costs.default nvme in
-  (Blobstore.Blobfs.create ~store ~access ~cache_pages:16 (), nvme)
-
-let blobfs_rw_and_hits () =
-  let fs, _ = blobfs_rig () in
-  ignore
-    (in_sim (fun () ->
-         let f = Blobstore.Blobfs.open_file fs ~name:"a" ~size_pages:64 in
-         Blobstore.Blobfs.write f ~off:5000 ~src:(Bytes.of_string "buffered!");
-         let dst = Bytes.create 9 in
-         Blobstore.Blobfs.read f ~off:5000 ~len:9 ~dst;
-         Alcotest.(check string) "read back" "buffered!" (Bytes.to_string dst);
-         Alcotest.(check bool) "second access hit" true
-           (Blobstore.Blobfs.cache_hits fs > 0);
-         Alcotest.(check bool) "still dirty (buffered)" true
-           (Blobstore.Blobfs.dirty_blocks fs > 0)))
-
-let blobfs_fsync_and_eviction_persist () =
-  let fs, nvme = blobfs_rig () in
-  ignore
-    (in_sim (fun () ->
-         let f = Blobstore.Blobfs.open_file fs ~name:"b" ~size_pages:64 in
-         (* dirty more blocks than the 16-slot cache: evictions write back *)
-         for p = 0 to 39 do
-           Blobstore.Blobfs.write f ~off:(p * 4096)
-             ~src:(Bytes.make 16 (Char.chr (65 + (p mod 26))))
-         done;
-         Blobstore.Blobfs.fsync f;
-         checki "clean after fsync" 0 (Blobstore.Blobfs.dirty_blocks fs);
-         (* re-read everything: must come back intact from the device *)
-         for p = 0 to 39 do
-           let dst = Bytes.create 1 in
-           Blobstore.Blobfs.read f ~off:(p * 4096) ~len:1 ~dst;
-           Alcotest.(check char) (Printf.sprintf "block %d" p)
-             (Char.chr (65 + (p mod 26)))
-             (Bytes.get dst 0)
-         done));
-  Alcotest.(check bool) "device saw writes" true (Sdevice.Block_dev.writes nvme > 0)
-
-let blobfs_hits_cost_cpu () =
-  let fs, _ = blobfs_rig () in
-  let eng = Sim.Engine.create () in
-  let dt = ref 0L in
-  ignore
-    (Sim.Engine.spawn eng ~core:0 (fun () ->
-         let f = Blobstore.Blobfs.open_file fs ~name:"c" ~size_pages:8 in
-         let dst = Bytes.create 1 in
-         Blobstore.Blobfs.read f ~off:0 ~len:1 ~dst;
-         let t0 = Sim.Engine.now_f () in
-         for _ = 1 to 50 do
-           Blobstore.Blobfs.read f ~off:0 ~len:1 ~dst
-         done;
-         dt := Int64.sub (Sim.Engine.now_f ()) t0));
-  Sim.Engine.run eng;
-  (* the paper's point: buffered-FS hits are never free *)
-  Alcotest.(check bool) "hits burn cycles" true (!dt >= Int64.mul 50L 1200L)
-
 let () =
   Alcotest.run "blobstore"
     [
@@ -193,13 +110,5 @@ let () =
           Alcotest.test_case "xattrs" `Quick xattrs;
           Alcotest.test_case "contiguous runs" `Quick contiguous_runs;
           QCheck_alcotest.to_alcotest alloc_reuse_prop;
-        ] );
-      ("file_ns", [ Alcotest.test_case "open/unlink" `Quick file_ns_basic ]);
-      ( "blobfs",
-        [
-          Alcotest.test_case "buffered rw" `Quick blobfs_rw_and_hits;
-          Alcotest.test_case "fsync + eviction persistence" `Quick
-            blobfs_fsync_and_eviction_persist;
-          Alcotest.test_case "hits are not free" `Quick blobfs_hits_cost_cpu;
         ] );
     ]

@@ -114,6 +114,44 @@ let ipi_self_only_is_free () =
   check64 "no targets, no cost" 0L
     (Hw.Ipi.shootdown m c ~mode:Hw.Ipi.Posted ~src:0 ~targets:[ 0 ] ~vpns:[ 1 ])
 
+(* Both sides of a batch invalidation switch from per-page invlpg to one
+   full flush past 33 pages: at 33 the initiator pays 33 invlpgs and every
+   receiver its interrupt plus 33 invlpgs; at 34 both sides pay a full
+   flush. *)
+let ipi_invalidate_flush_threshold () =
+  let invalidate npages =
+    let m = Hw.Machine.create () in
+    let own = (Hw.Machine.core m 0).Hw.Machine.tlb in
+    ignore (Hw.Tlb.access own c ~vpn:9999);
+    let cost =
+      Hw.Ipi.invalidate m c ~mode:Hw.Ipi.Posted ~core:0 ~targets:[ 0; 1; 2 ]
+        ~vpns:(List.init npages Fun.id)
+    in
+    ( cost,
+      Hw.Machine.drain_irq m ~core:1,
+      Hw.Machine.drain_irq m ~core:2,
+      Hw.Tlb.access own c ~vpn:9999 = 0L )
+  in
+  let send = Hw.Ipi.send_cost c Hw.Ipi.Posted in
+  let check_side npages ~local ~flushed =
+    let per_receiver = Int64.add c.Hw.Costs.ipi_receive local in
+    let cost, r1, r2, kept = invalidate npages in
+    let label what = Printf.sprintf "%d pages: %s" npages what in
+    check64 (label "receiver") per_receiver r1;
+    check64 (label "every receiver") per_receiver r2;
+    check64 (label "initiator") (Int64.add local (Int64.add send per_receiver)) cost;
+    Alcotest.(check bool) (label "own TLB flushed") flushed (not kept)
+  in
+  check_side 33 ~local:(Int64.mul 33L c.Hw.Costs.tlb_invlpg) ~flushed:false;
+  check_side 34 ~local:c.Hw.Costs.tlb_full_flush ~flushed:true;
+  let m = Hw.Machine.create () in
+  let sent = Hw.Ipi.shootdowns_sent () in
+  check64 "no pages, no cost" 0L
+    (Hw.Ipi.invalidate m c ~mode:Hw.Ipi.Posted ~core:0 ~targets:[ 0; 1; 2 ]
+       ~vpns:[]);
+  checki "no pages, no batch" sent (Hw.Ipi.shootdowns_sent ());
+  check64 "no pages, no receive work" 0L (Hw.Machine.drain_irq m ~core:1)
+
 let drain_irq_clears () =
   let m = Hw.Machine.create () in
   Hw.Machine.deliver_irq m ~core:3 500L;
@@ -190,6 +228,8 @@ let () =
         [
           Alcotest.test_case "shootdown" `Quick ipi_shootdown;
           Alcotest.test_case "self only" `Quick ipi_self_only_is_free;
+          Alcotest.test_case "full flush past 33 pages" `Quick
+            ipi_invalidate_flush_threshold;
           Alcotest.test_case "drain irq" `Quick drain_irq_clears;
         ] );
       ( "page table",

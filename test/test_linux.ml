@@ -11,7 +11,6 @@ let make_rig ?(frames = 32) ?(readahead = 1) ?(file_pages = 256) () =
     {
       Linux_sim.Mmap_sys.cache =
         { (Linux_sim.Page_cache.default_config ~frames) with readahead };
-      vma_rb_cost_multiplier = 1;
     }
   in
   let msys = Linux_sim.Mmap_sys.create cfg in

@@ -389,6 +389,90 @@ let staging_allocates_once () =
   if direct >= budget then
     Alcotest.failf "%d words allocated on the major heap, budget %d" direct budget
 
+(* ---- Merged write-back ---- *)
+
+type wb_item = { file : int; page : int; dev : int option; data : Bytes.t }
+
+(* Writes file 1's pages 0-5 (device pages 100-105), its page 6 (device
+   page 200, after a gap) and 7 (no device page), and file 2's page 0
+   (device page 201, right after file 1's page 6) through a 4-page merge.
+   Returns the items, the page count of each run that reached the device,
+   and the failed items. *)
+let write_merged_round access =
+  let item file page dev =
+    { file; page; dev; data = Bytes.make psz (Char.chr (65 + (8 * file) + page)) }
+  in
+  let items =
+    [ item 2 0 (Some 201); item 1 7 None; item 1 6 (Some 200) ]
+    @ List.init 6 (fun p -> item 1 p (Some (100 + p)))
+  in
+  let runs = ref [] in
+  let failed, _ =
+    in_fiber (fun () ->
+        Sdevice.Access.write_merged (Sdevice.Bufpool.pages ()) ~merge:4
+          ~cat:"test"
+          ~key:(fun x -> (x.file * 1000) + x.page)
+          ~file:(fun x -> x.file)
+          ~dev:(fun x -> x.dev)
+          ~access:(fun _ -> access)
+          ~data:(fun x -> x.data)
+          ~written:(fun n -> runs := n :: !runs)
+          items)
+  in
+  (items, List.rev !runs, failed)
+
+let device_page access page =
+  let dst = Bytes.create psz in
+  ignore (in_fiber (fun () -> Sdevice.Access.read_page access ~page ~dst));
+  dst
+
+let merged_writeback_runs () =
+  let pmem = Sdevice.Pmem.create ~capacity_bytes:(Int64.of_int (256 * psz)) () in
+  let access = Sdevice.Access.dax_pmem c pmem in
+  let items, runs, failed = write_merged_round access in
+  (* 0-3 and 4-5 split at the merge limit; the gap and the file change
+     each start a run; the untranslatable page is skipped *)
+  Alcotest.(check (list int)) "runs" [ 4; 2; 1; 1 ] runs;
+  checki "nothing failed" 0 (List.length failed);
+  List.iter
+    (fun x ->
+      Option.iter
+        (fun d -> Alcotest.(check bytes) "on device" x.data (device_page access d))
+        x.dev)
+    items
+
+let merged_writeback_failed_run () =
+  let pmem = Sdevice.Pmem.create ~capacity_bytes:(Int64.of_int (256 * psz)) () in
+  let access = Sdevice.Access.dax_pmem c pmem in
+  let plan =
+    Fault.Plan.make
+      { Fault.Plan.default with read_error = 1.0; permanent = 1.0 }
+  in
+  let items, runs, failed =
+    Fault.with_plan plan (fun () ->
+        (* a failed read marks device page 104 bad for good, so the one
+           run that touches it fails Permanent *)
+        ignore
+          (in_fiber (fun () ->
+               Sdevice.Access.read_pages_result access ~page:104 ~count:1
+                 ~dst:(Bytes.create psz)));
+        write_merged_round access)
+  in
+  Alcotest.(check (list int)) "other runs written" [ 4; 1; 1 ] runs;
+  Alcotest.(check (list (pair int int)))
+    "exactly the failed run" [ (1, 4); (1, 5) ]
+    (List.map (fun (x, _) -> (x.file, x.page)) failed);
+  List.iter
+    (fun (_, e) -> Alcotest.(check bool) "permanent" true (e = Fault.Permanent))
+    failed;
+  List.iter
+    (fun x ->
+      match x.dev with
+      | Some d when d <> 104 && d <> 105 ->
+          Alcotest.(check bytes) "reached the device" x.data (device_page access d)
+      | _ -> ())
+    items
+
 let () =
   Alcotest.run "sdevice"
     [
@@ -427,5 +511,10 @@ let () =
           Alcotest.test_case "page cache transfers never share" `Quick
             staging_not_shared_page_cache;
           Alcotest.test_case "400 transfers allocate once" `Quick staging_allocates_once;
+        ] );
+      ( "writeback",
+        [
+          Alcotest.test_case "run splits" `Quick merged_writeback_runs;
+          Alcotest.test_case "failed run only" `Quick merged_writeback_failed_run;
         ] );
     ]

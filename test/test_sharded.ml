@@ -1,7 +1,6 @@
 (* Shard-owned partitioning: Shard_stack/Sharded parity across shard
    counts and modes, Partition vs plain Dram_cache, and the satellite
-   knobs (page-cache tree_shards, device submission queues, blobstore
-   free-list partitions). *)
+   knobs (device submission queues, blobstore free-list partitions). *)
 
 let checki = Alcotest.(check int)
 let psz = Hw.Defs.page_size
@@ -173,60 +172,6 @@ let partition_routing () =
     (Invalid_argument "Partition.create: no arenas") (fun () ->
       ignore (Mcache.Partition.create ~arenas:[||] ()))
 
-(* ---- page-cache tree sharding ---- *)
-
-let linux_rig ~tree_shards ~frames ~file_pages =
-  let machine = Hw.Machine.create () in
-  let pt = Hw.Page_table.create () in
-  let cfg =
-    { (Linux_sim.Page_cache.default_config ~frames) with tree_shards }
-  in
-  let pc = Linux_sim.Page_cache.create ~costs:c ~machine ~page_table:pt cfg in
-  let pmem =
-    Sdevice.Pmem.create ~capacity_bytes:(Int64.of_int (file_pages * psz)) ()
-  in
-  let access =
-    Sdevice.Access.host_pmem c ~entry:Sdevice.Access.In_kernel pmem
-  in
-  Linux_sim.Page_cache.register_file pc ~file_id:1 ~access ~translate:(fun p ->
-      if p < file_pages then Some p else None);
-  pc
-
-let drive_linux pc ops =
-  let eng = Sim.Engine.create () in
-  ignore
-    (Sim.Engine.spawn eng ~core:0 (fun () ->
-         List.iter
-           (fun (page, write) ->
-             Linux_sim.Page_cache.fault pc ~core:0
-               ~key:(Mcache.Pagekey.make ~file:1 ~page)
-               ~vpn:page ~write)
-           ops;
-         Linux_sim.Page_cache.msync_file pc ~core:0 ~file_id:1));
-  Sim.Engine.run eng
-
-let tree_shards_functional_parity () =
-  let file_pages = 256 in
-  let ops = stream (Sim.Rng.create 9) 300 file_pages in
-  let one = linux_rig ~tree_shards:1 ~frames:48 ~file_pages in
-  drive_linux one ops;
-  let four = linux_rig ~tree_shards:4 ~frames:48 ~file_pages in
-  drive_linux four ops;
-  (* slot layout never changes what is cached or written back, only
-     which lock serializes it *)
-  checki "hits" (Linux_sim.Page_cache.fault_hits one)
-    (Linux_sim.Page_cache.fault_hits four);
-  checki "misses" (Linux_sim.Page_cache.misses one)
-    (Linux_sim.Page_cache.misses four);
-  checki "wb_ios" (Linux_sim.Page_cache.writeback_ios one)
-    (Linux_sim.Page_cache.writeback_ios four);
-  checki "dirty drained" 0 (Linux_sim.Page_cache.dirty_pages four);
-  Alcotest.(check bool) "residency agrees" true
-    (Linux_sim.Page_cache.is_resident one
-       ~key:(Mcache.Pagekey.make ~file:1 ~page:3)
-    = Linux_sim.Page_cache.is_resident four
-        ~key:(Mcache.Pagekey.make ~file:1 ~page:3))
-
 (* ---- device submission queues ---- *)
 
 let device_queue_accounting () =
@@ -330,8 +275,6 @@ let () =
         ] );
       ( "satellites",
         [
-          Alcotest.test_case "page-cache tree shards" `Quick
-            tree_shards_functional_parity;
           Alcotest.test_case "device submission queues" `Quick
             device_queue_accounting;
           Alcotest.test_case "blobstore partitions" `Quick blobstore_partitions;
