@@ -30,7 +30,8 @@ let trace_out_arg =
     & opt (some string) None
     & info [ "trace" ] ~docv:"FILE"
         ~doc:"Record a virtual-time trace and write Chrome Trace Event JSON \
-              to $(docv) (open in Perfetto or chrome://tracing).")
+              to $(docv) (open in Perfetto or chrome://tracing).  Forces \
+              $(b,--jobs) 1 and $(b,--deterministic).")
 
 let jobs_arg =
   Arg.(
@@ -138,6 +139,23 @@ let deterministic_arg =
               OCaml domains.  Terminal stats are byte-identical either way \
               (the CI parity gates compare them).")
 
+(* The tracer and the profiler are domain-local: worker domains and the
+   shards of a free-running cluster would record nothing.  While one is
+   on ([observer] names its flags) the run stays on one domain, with a
+   note for each flag it overrides; the result is the --jobs to use. *)
+let set_domains ~observer ~jobs ~shards ~deterministic =
+  let force flag on =
+    match observer with
+    | Some o when on ->
+        Printf.eprintf "aquila_cli: %s forces %s\n%!" o flag;
+        true
+    | _ -> false
+  in
+  let jobs = if force "--jobs 1" (jobs > 1) then 1 else jobs in
+  Experiments.Sharded.set_mode ~shards
+    ~deterministic:(deterministic || force "--deterministic" (shards > 1));
+  jobs
+
 let run_cmd =
   let doc = "Run one experiment (or 'all')." in
   let id =
@@ -155,15 +173,10 @@ let run_cmd =
     | Ok _, _ when shards < 1 -> `Error (true, "--shards must be >= 1")
     | Ok entries, Ok fault ->
         Experiments.Scenario.set_policy policy;
-        Experiments.Sharded.set_mode ~shards ~deterministic;
-        (* The ambient tracer is domain-local: worker domains would record
-           nothing, so tracing forces a sequential run. *)
         let jobs =
-          if trace_out <> None && jobs > 1 then begin
-            Printf.eprintf "aquila_cli: --trace forces --jobs 1\n%!";
-            1
-          end
-          else jobs
+          set_domains
+            ~observer:(Option.map (fun _ -> "--trace") trace_out)
+            ~jobs ~shards ~deterministic
         in
         Experiments.Scenario.with_metrics ?out:metrics_out (fun () ->
             Experiments.Scenario.with_trace ?out:trace_out (fun () ->
@@ -620,7 +633,8 @@ let report_cmd =
       & info [ "profile" ] ~docv:"FILE"
           ~doc:"Write a folded-stack virtual-time profile to $(docv) \
                 (one 'fiber;label count' line per stack; feed to \
-                flamegraph.pl or speedscope).  Forces $(b,--jobs) 1.")
+                flamegraph.pl or speedscope).  Forces $(b,--jobs) 1 and \
+                $(b,--deterministic).")
   in
   let sample_period =
     Arg.(
@@ -635,7 +649,8 @@ let report_cmd =
       & opt (some string) None
       & info [ "timeseries" ] ~docv:"FILE"
           ~doc:"Write a long-format CSV (cycles,key,value) sampling every \
-                metric on a virtual-time grid.  Forces $(b,--jobs) 1.")
+                metric on a virtual-time grid.  Forces $(b,--jobs) 1 and \
+                $(b,--deterministic).")
   in
   let ts_period =
     Arg.(
@@ -655,15 +670,13 @@ let report_cmd =
         `Error (true, "--sample-period and --timeseries-period must be > 0")
     | Ok entries, Ok fault ->
         Experiments.Scenario.set_policy policy;
-        Experiments.Sharded.set_mode ~shards ~deterministic;
-        (* The profiler is domain-local, like the tracer. *)
         let jobs =
-          if (profile <> None || timeseries <> None) && jobs > 1 then begin
-            Printf.eprintf
-              "aquila_cli: --profile/--timeseries forces --jobs 1\n%!";
-            1
-          end
-          else jobs
+          set_domains
+            ~observer:
+              (if profile <> None || timeseries <> None then
+                 Some "--profile/--timeseries"
+               else None)
+            ~jobs ~shards ~deterministic
         in
         Experiments.Scenario.with_metrics ?out:metrics_out ?profile
           ~sample_period ?timeseries ~ts_period (fun () ->
