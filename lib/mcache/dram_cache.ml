@@ -669,8 +669,7 @@ let spawn_writeback_daemon t ~eng ?(hi = 256) ?(lo = 64) ?(core = 0) () =
                      backoff :=
                        (if Int64.equal !backoff 0L then 100_000L
                         else Int64.min (Int64.mul !backoff 2L) 10_000_000L);
-                     Sim.Engine.idle_wait !backoff;
-                     Sim.Engine.label_add "wb_backoff" !backoff
+                     Sim.Engine.idle_wait ~label:"wb_backoff" !backoff
                done)
          done))
 

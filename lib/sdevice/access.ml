@@ -199,8 +199,7 @@ let rec attempt_io ~write t ~page ~count ~buf n =
         Metrics.Registry.incr (Domain.DLS.get m_retries_key);
         if Trace.on () then Sim.Probe.instant ~cat:"fault" "io_retry";
         let backoff = Int64.mul backoff_base (Int64.shift_left 1L (n - 1)) in
-        Sim.Engine.idle_wait backoff;
-        Sim.Engine.label_add "io_retry" backoff;
+        Sim.Engine.idle_wait ~label:"io_retry" backoff;
         attempt_io ~write t ~page ~count ~buf (n + 1)
       end
 

@@ -112,10 +112,7 @@ let occupy t ~polling ~len ~spike =
     if spike > 1 then Int64.mul service (Int64.of_int spike) else service
   in
   if polling then Sim.Engine.delay ~cat:Sim.Engine.Sys ~label:"io_device" service
-  else begin
-    Sim.Engine.idle_wait service;
-    Sim.Engine.label_add "io_device" service
-  end;
+  else Sim.Engine.idle_wait ~label:"io_device" service;
   Sim.Sync.Resource.release t.channels;
   Sim.Probe.span_since ~cat:"sdevice" ~value:(Int64.of_int len) ~t0:io0 t.dname
 

@@ -101,7 +101,7 @@ type t = {
   q : (unit -> unit) Pqueue.t;
   mutable horizon : int;
       (* exclusive virtual-time bound for [run_until]; [max_int] outside
-         a windowed run.  The delay fast path honours it so a fiber
+         a windowed run.  The sleep fast path honours it so a fiber
          cannot coast past the conservative-sync window. *)
   slot : (unit -> unit) Pqueue.slot;
       (* reusable out-cell for the drain loop: one per engine, so popping
@@ -111,10 +111,6 @@ type t = {
   mutable next_fid : int;
   mutable nevents : int;
   fastpath : bool;
-  mutable pending : (unit, unit) Effect.Deep.continuation option;
-      (* fast-path trampoline: a delay whose wake-up provably precedes
-         every queued event skips the queue; the run loop continues it
-         directly, keeping the native stack flat *)
   mutable on_event : (int -> unit) option;
       (* called with the event ordinal after every event (queued or
          fast-pathed); may raise to abort the run at an event boundary *)
@@ -129,20 +125,16 @@ type t = {
   m_suspends : Metrics.Registry.cell;
 }
 
+(* The only two ways a fiber leaves the CPU: [Suspend] parks it until a
+   callback resumes it, [Wake_at] requeues it at a virtual time.  Every
+   other fiber-side operation reads or writes the ambient engine. *)
 type _ Effect.t +=
-  | Delay : category * string option * int -> unit Effect.t
   | Suspend : ((unit -> unit) -> unit) -> unit Effect.t
-  | Timed_wait : int -> unit Effect.t
-  | Self : ctx Effect.t
-  | Now : int64 Effect.t
+  | Wake_at : int -> unit Effect.t
 
-(* Ambient engine of the executing domain, maintained by [run].  Pure
-   reads from fiber code (self, now_f, label_add) resolve through it as
-   plain loads; performing an effect for them would capture and resume a
-   continuation per call, which dominates the cost of hot accounting
-   loops like [Costbuf.charge].  The effects above stay as the fallback
-   so the reads still work under a foreign handler (e.g. in tests that
-   drive fibers manually). *)
+(* Ambient engine of the executing domain, maintained by [run]: fiber
+   code reaches its engine and context with plain loads, so hot
+   accounting loops like [Costbuf.charge] capture no continuation. *)
 let ambient_key : t option ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref None)
 
 (* Domain-local event hook, picked up by engines created afterwards in
@@ -167,7 +159,6 @@ let create ?(seed = 42) ?(fastpath = true) () =
     next_fid = 0;
     nevents = 0;
     fastpath;
-    pending = None;
     on_event = !(Domain.DLS.get event_hook_key);
     engine_rng = Rng.create seed;
     blocked = Hashtbl.create 64;
@@ -236,30 +227,41 @@ let blocked_report t =
     parked;
   Buffer.contents b
 
-(* Tracing: every hook is behind a [Trace.live_tracers] check so the
-   disabled path is one plain load and branch per site. *)
-let trace_span ~ts ~dur ~cat ctx name =
-  match Trace.current () with
-  | Some tr ->
-      Trace.span tr ~ts:(Int64.of_int ts) ~dur:(Int64.of_int dur) ~core:ctx.core
-        ~fiber:ctx.fid ~cat name
-  | None -> ()
+(* What a booked span of a fiber's time was: CPU work of one category,
+   a timed idle wait, or the interval between parking in [suspend] and
+   resuming. *)
+type span = User_cpu | Sys_cpu | Idle | Blocked
 
-let trace_instant ~ts ~cat ctx name =
-  match Trace.current () with
-  | Some tr ->
-      Trace.instant tr ~ts:(Int64.of_int ts) ~core:ctx.core ~fiber:ctx.fid ~cat
-        name
-  | None -> ()
+let cpu = function User -> User_cpu | Sys -> Sys_cpu
 
-(* Profiling: same discipline as tracing — every call site guards with
-   [Atomic.get Metrics.Profile.live > 0], so runs without a profiler pay
-   one load and branch per charge.  Unlabelled delays attribute their
-   cycles to the category name. *)
-let cat_label = function User -> "user" | Sys -> "sys"
-
-let prof_charge ~now ~cycles ctx label =
-  Metrics.Profile.charge ~now ~cycles ~fiber:ctx.name ~label
+(* The one place a span of [c] cycles starting at [ts] becomes
+   accounting: the fiber's user, sys or idle total and, when labelled,
+   its label; then the tracer (a span per labelled CPU charge, idle wait
+   and blocked interval) and the profiler (a sample per span, unlabelled
+   CPU work under its category's name).  Each observer costs one load
+   and branch while off. *)
+let book t ctx span label ~ts c =
+  (match span with
+  | User_cpu -> ctx.user <- ctx.user + c
+  | Sys_cpu -> ctx.sys <- ctx.sys + c
+  | Idle | Blocked -> ctx.idle <- ctx.idle + c);
+  (match label with Some l -> ctx_bump ctx (intern t.it l) c | None -> ());
+  let name =
+    match (span, label) with
+    | (User_cpu | Sys_cpu), Some l -> l
+    | User_cpu, None -> "user"
+    | Sys_cpu, None -> "sys"
+    | Idle, _ -> "idle"
+    | Blocked, _ -> "blocked"
+  in
+  (if Atomic.get Trace.live_tracers > 0 then
+     match (Trace.current (), span, label) with
+     | None, _, _ | Some _, (User_cpu | Sys_cpu), None -> ()
+     | Some tr, _, _ ->
+         Trace.span tr ~ts:(Int64.of_int ts) ~dur:(Int64.of_int c)
+           ~core:ctx.core ~fiber:ctx.fid ~cat:"engine" name);
+  if Atomic.get Metrics.Profile.live > 0 then
+    Metrics.Profile.charge ~now:ts ~cycles:c ~fiber:ctx.name ~label:name
 
 let schedule t ~at thunk =
   let at = if at < t.now then t.now else at in
@@ -276,10 +278,8 @@ let post t ~at thunk =
       t.current <- None;
       thunk ())
 
-(* Run [f] as a fiber under the engine's effect handler.  Suspension points
-   capture the continuation and schedule it back through the event queue —
-   except delays that would run next anyway, which park in [t.pending] for
-   the run loop to continue without a queue round-trip. *)
+(* Run [f] as a fiber under the engine's effect handler: both effects
+   hand the continuation to the event queue, which the run loop drains. *)
 let run_fiber t ctx f =
   let open Effect.Deep in
   match_with f ()
@@ -287,66 +287,23 @@ let run_fiber t ctx f =
       retc =
         (fun () ->
           if not ctx.daemon then t.live <- t.live - 1;
-          if Atomic.get Trace.live_tracers > 0 then trace_instant ~ts:t.now ~cat:"engine" ctx "exit");
+          if Atomic.get Trace.live_tracers > 0 then
+            match Trace.current () with
+            | Some tr ->
+                Trace.instant tr ~ts:(Int64.of_int t.now) ~core:ctx.core
+                  ~fiber:ctx.fid ~cat:"engine" "exit"
+            | None -> ());
       exnc = raise;
       effc =
         (fun (type a) (eff : a Effect.t) ->
           match eff with
-          | Delay (cat, label, c) ->
+          | Wake_at at ->
               Some
                 (fun (k : (a, _) continuation) ->
-                  let c = if c < 0 then 0 else c in
-                  (match cat with
-                  | User -> ctx.user <- ctx.user + c
-                  | Sys -> ctx.sys <- ctx.sys + c);
-                  (match label with
-                  | None -> ()
-                  | Some l -> ctx_bump ctx (intern t.it l) c);
-                  (if Atomic.get Trace.live_tracers > 0 then
-                     match label with
-                     | Some l -> trace_span ~ts:t.now ~dur:c ~cat:"engine" ctx l
-                     | None -> ());
-                  (if Atomic.get Metrics.Profile.live > 0 then
-                     prof_charge ~now:t.now ~cycles:c ctx
-                       (match label with Some l -> l | None -> cat_label cat));
-                  let at = t.now + c in
-                  t.seq <- t.seq + 1;
-                  (* Fast path: nothing queued can run before (at, seq) —
-                     the head is strictly later (ties lose: an equal-time
-                     head has a smaller seq) — and the wake-up stays
-                     inside the run window.  Advance the clock and hand
-                     the continuation straight back to the run loop. *)
-                  if t.fastpath && next_time t > at && at < t.horizon then begin
-                    t.now <- at;
-                    t.current <- Some ctx;
-                    t.pending <- Some k
-                  end
-                  else
-                    Pqueue.push t.q ~time:at ~seq:t.seq (fun () ->
-                        ctx.ev <- ctx.ev + 1;
-                        t.current <- Some ctx;
-                        continue k ()))
-          | Timed_wait c ->
-              Some
-                (fun (k : (a, _) continuation) ->
-                  let c = if c < 0 then 0 else c in
-                  ctx.idle <- ctx.idle + c;
-                  if Atomic.get Trace.live_tracers > 0 then
-                    trace_span ~ts:t.now ~dur:c ~cat:"engine" ctx "idle";
-                  if Atomic.get Metrics.Profile.live > 0 then
-                    prof_charge ~now:t.now ~cycles:c ctx "idle";
-                  let at = t.now + c in
-                  t.seq <- t.seq + 1;
-                  if t.fastpath && next_time t > at && at < t.horizon then begin
-                    t.now <- at;
-                    t.current <- Some ctx;
-                    t.pending <- Some k
-                  end
-                  else
-                    Pqueue.push t.q ~time:at ~seq:t.seq (fun () ->
-                        ctx.ev <- ctx.ev + 1;
-                        t.current <- Some ctx;
-                        continue k ()))
+                  schedule t ~at (fun () ->
+                      ctx.ev <- ctx.ev + 1;
+                      t.current <- Some ctx;
+                      continue k ()))
           | Suspend register ->
               Some
                 (fun (k : (a, _) continuation) ->
@@ -363,21 +320,12 @@ let run_fiber t ctx f =
                     ctx.waiting_on <- -1;
                     schedule t ~at:t.now (fun () ->
                         ctx.ev <- ctx.ev + 1;
-                        ctx.idle <- ctx.idle + (t.now - t0);
-                        (if Atomic.get Trace.live_tracers > 0 && t.now > t0 then
-                           trace_span ~ts:t0 ~dur:(t.now - t0) ~cat:"engine" ctx
-                             "blocked");
-                        (if Atomic.get Metrics.Profile.live > 0 && t.now > t0
-                         then
-                           prof_charge ~now:t0 ~cycles:(t.now - t0) ctx
-                             "blocked");
+                        if t.now > t0 then
+                          book t ctx Blocked None ~ts:t0 (t.now - t0);
                         t.current <- Some ctx;
                         continue k ())
                   in
                   register resume)
-          | Self -> Some (fun (k : (a, _) continuation) -> continue k ctx)
-          | Now ->
-              Some (fun (k : (a, _) continuation) -> continue k (Int64.of_int t.now))
           | _ -> None);
     }
 
@@ -424,32 +372,15 @@ let run_loop t ~horizon =
       t.horizon <- max_int;
       amb := saved)
     (fun () ->
-      let continue_ = ref true in
-      while !continue_ do
-        match t.pending with
-        | Some k ->
-            (* clock and current fiber were set when the delay fast-pathed *)
-            t.pending <- None;
-            t.nevents <- t.nevents + 1;
-            Metrics.Registry.incr t.m_ev;
-            Metrics.Registry.incr t.m_ev_fast;
-            (match t.current with
-            | Some ctx -> ctx.ev <- ctx.ev + 1
-            | None -> ());
-            (match t.on_event with None -> () | Some f -> f t.nevents);
-            Effect.Deep.continue k ()
-        | None ->
-            let sl = t.slot in
-            if Pqueue.pop_into t.q sl ~before:horizon then begin
-              t.now <- sl.Pqueue.s_time;
-              let thunk = sl.Pqueue.s_val in
-              sl.Pqueue.s_val <- ignore;
-              t.nevents <- t.nevents + 1;
-              Metrics.Registry.incr t.m_ev;
-              (match t.on_event with None -> () | Some f -> f t.nevents);
-              thunk ()
-            end
-            else continue_ := false
+      let sl = t.slot in
+      while Pqueue.pop_into t.q sl ~before:horizon do
+        t.now <- sl.Pqueue.s_time;
+        let thunk = sl.Pqueue.s_val in
+        sl.Pqueue.s_val <- ignore;
+        t.nevents <- t.nevents + 1;
+        Metrics.Registry.incr t.m_ev;
+        (match t.on_event with None -> () | Some f -> f t.nevents);
+        thunk ()
       done)
 
 let run t = run_loop t ~horizon:max_int
@@ -461,73 +392,70 @@ let run t = run_loop t ~horizon:max_int
    inside the lookahead gap) can still schedule work at >= now. *)
 let run_until t ~horizon = run_loop t ~horizon
 
-(* Fiber-side fast path: when the wake-up provably precedes every queued
-   event, the continuation would be resumed immediately anyway, so the
-   delay reduces to accounting plus a clock bump — no effect performed,
-   no continuation captured.  Identical (time, seq) order and event
-   count as the queued path; the effect below is the fallback whenever
-   the condition fails (or the fast path is disabled). *)
-let delay ?(cat = User) ?label c =
-  let c = Int64.to_int c in
-  let c = if c < 0 then 0 else c in
-  match !(Domain.DLS.get ambient_key) with
-  | Some ({ fastpath = true; current = Some ctx; _ } as t)
-    when next_time t > t.now + c && t.now + c < t.horizon ->
-      (match cat with
-      | User -> ctx.user <- ctx.user + c
-      | Sys -> ctx.sys <- ctx.sys + c);
-      (match label with
-      | None -> ()
-      | Some l -> ctx_bump ctx (intern t.it l) c);
-      (if Atomic.get Trace.live_tracers > 0 then
-         match label with
-         | Some l -> trace_span ~ts:t.now ~dur:c ~cat:"engine" ctx l
-         | None -> ());
-      (if Atomic.get Metrics.Profile.live > 0 then
-         prof_charge ~now:t.now ~cycles:c ctx
-           (match label with Some l -> l | None -> cat_label cat));
-      t.seq <- t.seq + 1;
-      t.nevents <- t.nevents + 1;
-      ctx.ev <- ctx.ev + 1;
-      Metrics.Registry.incr t.m_ev;
-      Metrics.Registry.incr t.m_ev_fast;
-      t.now <- t.now + c;
-      (match t.on_event with None -> () | Some f -> f t.nevents)
-  | _ -> Effect.perform (Delay (cat, label, c))
+(* Advance the running fiber [c] cycles.  When the wake-up provably
+   precedes every queued event (an equal-time head has a smaller seq, so
+   ties lose) and stays inside the run window, the continuation would be
+   resumed next anyway: count the event and bump the clock in place, no
+   continuation captured.  Otherwise requeue through [Wake_at].  Same
+   (time, seq) order and event count either way. *)
+let sleep t ctx c =
+  let at = t.now + c in
+  if t.fastpath && next_time t > at && at < t.horizon then begin
+    t.seq <- t.seq + 1;
+    t.nevents <- t.nevents + 1;
+    ctx.ev <- ctx.ev + 1;
+    Metrics.Registry.incr t.m_ev;
+    Metrics.Registry.incr t.m_ev_fast;
+    t.now <- at;
+    match t.on_event with None -> () | Some f -> f t.nevents
+  end
+  else Effect.perform (Wake_at at)
 
-let idle_wait c =
+let cycles c =
   let c = Int64.to_int c in
-  let c = if c < 0 then 0 else c in
+  if c < 0 then 0 else c
+
+let delay ?(cat = User) ?label c =
   match !(Domain.DLS.get ambient_key) with
-  | Some ({ fastpath = true; current = Some ctx; _ } as t)
-    when next_time t > t.now + c && t.now + c < t.horizon ->
-      ctx.idle <- ctx.idle + c;
-      if Atomic.get Trace.live_tracers > 0 then trace_span ~ts:t.now ~dur:c ~cat:"engine" ctx "idle";
-      if Atomic.get Metrics.Profile.live > 0 then
-        prof_charge ~now:t.now ~cycles:c ctx "idle";
-      t.seq <- t.seq + 1;
-      t.nevents <- t.nevents + 1;
-      ctx.ev <- ctx.ev + 1;
-      Metrics.Registry.incr t.m_ev;
-      Metrics.Registry.incr t.m_ev_fast;
-      t.now <- t.now + c;
-      (match t.on_event with None -> () | Some f -> f t.nevents)
-  | _ -> Effect.perform (Timed_wait c)
+  | Some ({ current = Some ctx; _ } as t) ->
+      let c = cycles c in
+      book t ctx (cpu cat) label ~ts:t.now c;
+      sleep t ctx c
+  | _ -> invalid_arg "Engine.delay: called outside a running fiber"
+
+let idle_wait ?label c =
+  match !(Domain.DLS.get ambient_key) with
+  | Some ({ current = Some ctx; _ } as t) ->
+      let c = cycles c in
+      book t ctx Idle label ~ts:t.now c;
+      sleep t ctx c
+  | _ -> invalid_arg "Engine.idle_wait: called outside a running fiber"
+
+(* The parts go to their labels here, and their sum through [book] with
+   no label, so a batch's labels never exceed the cycles it books. *)
+let delay_parts ~cat labels parts n =
+  match !(Domain.DLS.get ambient_key) with
+  | Some ({ current = Some ctx; _ } as t) ->
+      let c = ref 0 in
+      for i = 0 to n - 1 do
+        let p = parts.(i) in
+        if p > 0 then begin
+          ctx_bump ctx (intern t.it labels.(i)) p;
+          c := !c + p
+        end
+      done;
+      book t ctx (cpu cat) None ~ts:t.now !c;
+      sleep t ctx !c
+  | _ -> invalid_arg "Engine.delay_parts: called outside a running fiber"
 
 let suspend register = Effect.perform (Suspend register)
 
 let now_f () =
   match !(Domain.DLS.get ambient_key) with
   | Some t -> Int64.of_int t.now
-  | None -> Effect.perform Now
+  | None -> invalid_arg "Engine.now_f: no engine is running"
 
 let self () =
   match !(Domain.DLS.get ambient_key) with
   | Some { current = Some ctx; _ } -> ctx
-  | _ -> Effect.perform Self
-
-let label_add label c =
-  let ctx = self () in
-  ctx_bump ctx (intern ctx.it label) (Int64.to_int c)
-
-let ctx_label_add ctx label c = ctx_bump ctx (intern ctx.it label) c
+  | _ -> invalid_arg "Engine.self: called outside a running fiber"

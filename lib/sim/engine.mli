@@ -9,10 +9,17 @@
     Internally the clock, per-fiber counters and the event queue all use
     unboxed native [int] cycles (virtual time fits in 62 bits); the [int64]
     signatures below are kept for callers holding [Hw.Costs] constants.
-    Delays whose wake-up provably precedes every queued event take a fast
-    path that skips the queue entirely while preserving the exact
-    [(time, seq)] execution order — same-seed runs are byte-identical with
-    the fast path on or off.
+
+    The engine declares two effects: one parks a fiber for {!suspend},
+    the other requeues it at a wake-up time.  Every charge — {!delay},
+    {!idle_wait}, {!delay_parts} and the blocked interval a resumed fiber
+    spent parked — is booked by one internal function that adds it to the
+    fiber's user, sys or idle total and its label, then offers it to the
+    tracer and the profiler, so no fiber's labels exceed the cycles it
+    spent.  A charge whose wake-up provably precedes every queued event
+    bumps the clock instead of requeueing, preserving the exact
+    [(time, seq)] execution order — same-seed runs are byte-identical
+    with the fast path on or off.
 
     Fibers interact with the engine through {!delay}, {!idle_wait},
     {!suspend}, {!now_f} and {!self}; these must only be called from code
@@ -154,7 +161,7 @@ val run_until : t -> horizon:int -> unit
 val next_time : t -> int
 (** [next_time t] is the earliest queued event time in unboxed cycles,
     or [max_int] when the engine is drained.  Only meaningful between
-    runs (no fast-path continuation is pending). *)
+    runs. *)
 
 val post : t -> at:int64 -> (unit -> unit) -> unit
 (** [post t ~at f] injects an external event: [f] runs at virtual time
@@ -166,16 +173,27 @@ val post : t -> at:int64 -> (unit -> unit) -> unit
 
 (** {1 Fiber-side operations}
 
-    These perform effects and must be called from inside a fiber. *)
+    These must be called from inside a running fiber.  Outside one,
+    {!delay}, {!idle_wait}, {!delay_parts} and {!self} raise
+    [Invalid_argument]; {!now_f} does only when no engine is running. *)
 
 val delay : ?cat:category -> ?label:string -> int64 -> unit
 (** [delay c] advances the fiber by [c] cycles of {e active} CPU work,
     charged to [cat] (default {!User}) and, when given, to [label] in the
     fiber's per-label accounting (see {!labels}). *)
 
-val idle_wait : int64 -> unit
+val idle_wait : ?label:string -> int64 -> unit
 (** [idle_wait c] blocks the fiber for [c] cycles {e without} consuming CPU:
-    the time is charged to {!ctx.idle}.  Models waiting for a device. *)
+    the time is charged to {!ctx.idle} and, when given, to [label].
+    Models waiting for a device.  The tracer and the profiler see it as
+    ["idle"] either way. *)
+
+val delay_parts : cat:category -> string array -> int array -> int -> unit
+(** [delay_parts ~cat labels parts n] is one {!delay} of the sum of the
+    positive [parts.(0)] .. [parts.(n-1)], charged to [cat], with each
+    part also charged to [labels.(i)] — the allocation-free entry behind
+    {!Costbuf.charge}.  The tracer sees nothing of it and the profiler
+    one span under [cat]'s name, not the parts. *)
 
 val suspend : ((unit -> unit) -> unit) -> unit
 (** [suspend register] parks the fiber and calls [register resume].  The
@@ -184,17 +202,8 @@ val suspend : ((unit -> unit) -> unit) -> unit
     Calling [resume] more than once raises [Invalid_argument]. *)
 
 val now_f : unit -> int64
-(** [now_f ()] is {!now} for the enclosing fiber's engine. *)
+(** [now_f ()] is {!now} for the engine running on this domain; it
+    raises [Invalid_argument] when none is running. *)
 
 val self : unit -> ctx
 (** [self ()] is the current fiber's context. *)
-
-val label_add : string -> int64 -> unit
-(** [label_add label c] adds [c] cycles to the current fiber's [label]
-    accounting bucket without advancing time.  Used to attribute a span
-    measured with {!now_f} to a named category. *)
-
-val ctx_label_add : ctx -> string -> int -> unit
-(** [ctx_label_add ctx label c] is {!label_add} against an explicit
-    context with unboxed cycles — the allocation-free form used by
-    {!Costbuf.charge} on the fault hot path. *)
