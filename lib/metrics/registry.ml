@@ -150,7 +150,6 @@ let[@inline] add c n =
   let a = c.st.a in
   Array.unsafe_set a c.slot (Array.unsafe_get a c.slot + n)
 
-let[@inline] set c v = Array.unsafe_set c.st.a c.slot v
 let[@inline] get c = Array.unsafe_get c.st.a c.slot
 
 let bucket_of v =

@@ -46,7 +46,6 @@ val incr : cell -> unit
 (** One unboxed int store. Must run on the domain that bound the cell. *)
 
 val add : cell -> int -> unit
-val set : cell -> int -> unit
 val get : cell -> int
 (** This domain's local value only (snapshots merge all domains). *)
 

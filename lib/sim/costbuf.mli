@@ -20,5 +20,3 @@ val charge : ?cat:Engine.category -> t -> unit
 (** [charge t] advances the clock by {!total} (default category [Sys]),
     records each label in the current fiber's accounting, and resets [t].
     No-op when the total is zero.  Must run inside a fiber. *)
-
-val labels : t -> (string * int64) list

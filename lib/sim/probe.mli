@@ -26,6 +26,3 @@ val span_since : ?cat:string -> ?value:int64 -> t0:int64 -> string -> unit
 (** [span_since ~t0 name] records a span from [t0] to now on the current
     fiber.  Use with {!span_start} to avoid closure allocation on hot
     paths. *)
-
-val with_span : ?cat:string -> ?value:int64 -> string -> (unit -> 'a) -> 'a
-(** [with_span name f] runs [f] inside a span named [name]. *)

@@ -2,10 +2,9 @@ type t = {
   tbl : (string, int64) Hashtbl.t;
   mutable u : int64;
   mutable s : int64;
-  mutable i : int64;
 }
 
-let create () = { tbl = Hashtbl.create 32; u = 0L; s = 0L; i = 0L }
+let create () = { tbl = Hashtbl.create 32; u = 0L; s = 0L }
 
 let absorb t (ctx : Sim.Engine.ctx) =
   List.iter
@@ -14,8 +13,7 @@ let absorb t (ctx : Sim.Engine.ctx) =
       Hashtbl.replace t.tbl k (Int64.add cur v))
     (Sim.Engine.labels ctx);
   t.u <- Int64.add t.u (Int64.of_int ctx.Sim.Engine.user);
-  t.s <- Int64.add t.s (Int64.of_int ctx.Sim.Engine.sys);
-  t.i <- Int64.add t.i (Int64.of_int ctx.Sim.Engine.idle)
+  t.s <- Int64.add t.s (Int64.of_int ctx.Sim.Engine.sys)
 
 let label t name = try Hashtbl.find t.tbl name with Not_found -> 0L
 
@@ -34,10 +32,5 @@ let group t ~prefixes =
 
 let user t = t.u
 let sys t = t.s
-let idle t = t.i
 
 let per_op total n = if n = 0 then 0. else Int64.to_float total /. float_of_int n
-
-let pp fmt t =
-  Format.fprintf fmt "user=%Ld sys=%Ld idle=%Ld@." t.u t.s t.i;
-  List.iter (fun (k, v) -> Format.fprintf fmt "  %-18s %Ld@." k v) (labels t)

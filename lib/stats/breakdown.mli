@@ -9,7 +9,7 @@ type t
 val create : unit -> t
 
 val absorb : t -> Sim.Engine.ctx -> unit
-(** [absorb t ctx] folds a finished fiber's label table and user/sys/idle
+(** [absorb t ctx] folds a finished fiber's label table and user/sys
     totals into the aggregate. *)
 
 val label : t -> string -> int64
@@ -24,9 +24,6 @@ val group : t -> prefixes:string list -> int64
 
 val user : t -> int64
 val sys : t -> int64
-val idle : t -> int64
 
 val per_op : int64 -> int -> float
 (** [per_op total n] is cycles per operation as a float ([0.] if [n=0]). *)
-
-val pp : Format.formatter -> t -> unit

@@ -23,8 +23,6 @@ let kcycles c =
   if c >= 1000. then Printf.sprintf "%.1fK" (c /. 1000.)
   else Printf.sprintf "%.0f" c
 
-let cycles c = Printf.sprintf "%Ld" c
-
 let ops_per_sec x =
   if x >= 1e6 then Printf.sprintf "%.2f Mops/s" (x /. 1e6)
   else if x >= 1e3 then Printf.sprintf "%.1f Kops/s" (x /. 1e3)

@@ -10,8 +10,6 @@ val print_table : title:string -> header:string list -> string list list -> unit
 val kcycles : float -> string
 (** [kcycles c] formats cycles as ["12.3K"]. *)
 
-val cycles : int64 -> string
-
 val ops_per_sec : float -> string
 (** [ops_per_sec x] as ["123.4 Kops/s"]. *)
 
