@@ -151,7 +151,7 @@ let create ?(seed = 42) ?(fastpath = true) () =
   {
     now = 0;
     seq = 0;
-    q = Pqueue.create ();
+    q = Pqueue.create ~dummy:ignore;
     horizon = max_int;
     slot = Pqueue.slot ~dummy:ignore;
     current = None;

@@ -1,30 +1,24 @@
-(** Structure-of-arrays 4-ary min-heap keyed by [(time, sequence)] pairs.
+(** Binary min-heap keyed by [(time, sequence)] pairs, with payloads held
+    off-heap.
 
     Used by the discrete-event engine to order pending events.  Ties on
-    [time] are broken by the monotonically increasing sequence number, which
-    makes event ordering — and therefore every simulation — deterministic.
+    [time] are broken by the sequence number, which makes event ordering
+    — and therefore every simulation — deterministic.  Keys must be
+    unique.
 
-    Times are plain native [int] cycles (virtual time fits in 62 bits), so
-    pushes and pops touch no boxed values and allocate nothing. *)
+    Keys are plain native [int]s (virtual time fits in 62 bits) and a
+    sift moves only keys and payload indices, so pushes and pops touch
+    no boxed values and allocate nothing outside growth. *)
 
 type 'a t
 (** A mutable priority queue holding values of type ['a]. *)
 
-val create : unit -> 'a t
-(** [create ()] is an empty queue. *)
-
-val length : 'a t -> int
-(** [length q] is the number of queued elements. *)
-
-val is_empty : 'a t -> bool
-(** [is_empty q] is [length q = 0]. *)
+val create : dummy:'a -> 'a t
+(** [create ~dummy] is an empty queue.  [dummy] fills payload slots that
+    hold no entry, so a popped value is not kept alive by the queue. *)
 
 val push : 'a t -> time:int -> seq:int -> 'a -> unit
 (** [push q ~time ~seq v] inserts [v] with priority [(time, seq)]. *)
-
-val pop : 'a t -> (int * int * 'a) option
-(** [pop q] removes and returns the element with the smallest
-    [(time, seq)] key, or [None] if the queue is empty. *)
 
 val min_time : 'a t -> int
 (** [min_time q] is the key time of the head, or [max_int] when empty.

@@ -6,24 +6,32 @@ let check64 msg a b = Alcotest.(check int64) msg a b
 
 (* ---- Pqueue ---- *)
 
+(* The head as [(time, seq, value)] if its time is before [before]. *)
+let pq_pop ?(before = max_int) q sl =
+  if Sim.Pqueue.pop_into q sl ~before then
+    Some (sl.Sim.Pqueue.s_time, sl.Sim.Pqueue.s_seq, sl.Sim.Pqueue.s_val)
+  else None
+
 let pqueue_order () =
-  let q = Sim.Pqueue.create () in
+  let q = Sim.Pqueue.create ~dummy:"-" in
+  let sl = Sim.Pqueue.slot ~dummy:"-" in
   Sim.Pqueue.push q ~time:30 ~seq:1 "c";
   Sim.Pqueue.push q ~time:10 ~seq:2 "a";
   Sim.Pqueue.push q ~time:20 ~seq:3 "b";
-  let pop () = match Sim.Pqueue.pop q with Some (_, _, v) -> v | None -> "?" in
+  let pop () = match pq_pop q sl with Some (_, _, v) -> v | None -> "?" in
   check Alcotest.string "first" "a" (pop ());
   check Alcotest.string "second" "b" (pop ());
   check Alcotest.string "third" "c" (pop ());
-  Alcotest.(check bool) "empty" true (Sim.Pqueue.is_empty q)
+  Alcotest.(check bool) "empty" true (Sim.Pqueue.min_time q = max_int)
 
 let pqueue_fifo_ties () =
-  let q = Sim.Pqueue.create () in
+  let q = Sim.Pqueue.create ~dummy:(-1) in
+  let sl = Sim.Pqueue.slot ~dummy:(-1) in
   for i = 0 to 9 do
     Sim.Pqueue.push q ~time:5 ~seq:i i
   done;
   for i = 0 to 9 do
-    match Sim.Pqueue.pop q with
+    match pq_pop q sl with
     | Some (_, _, v) -> checki (Printf.sprintf "tie %d" i) i v
     | None -> Alcotest.fail "queue drained early"
   done
@@ -33,10 +41,11 @@ let pqueue_prop =
     ~count:200
     QCheck.(list (pair (int_bound 1000) (int_bound 1000)))
     (fun pairs ->
-      let q = Sim.Pqueue.create () in
+      let q = Sim.Pqueue.create ~dummy:(-1) in
+      let sl = Sim.Pqueue.slot ~dummy:(-1) in
       List.iteri (fun seq (t, v) -> Sim.Pqueue.push q ~time:t ~seq v) pairs;
       let rec drain last acc =
-        match Sim.Pqueue.pop q with
+        match pq_pop q sl with
         | None -> List.rev acc
         | Some (t, s, _) ->
             if compare last (t, s) > 0 then raise Exit;
@@ -47,13 +56,21 @@ let pqueue_prop =
       | exception Exit -> false)
 
 let pqueue_vs_reference =
-  (* Interleaved pushes and pops against a sorted-list reference model:
-     the heap must return exactly the reference's (time, seq, value)
-     sequence, including FIFO order on time ties. *)
+  (* Interleaved pushes and bounded pops against a sorted-list reference
+     model: the heap must return exactly the reference's (time, seq,
+     value) sequence, including FIFO order on time ties, and refuse a pop
+     exactly when the reference's head is not before the bound.  Three
+     pushes per pop over 100-400 steps take most scripts past the
+     64-entry first allocation, and every push after a pop reuses a freed
+     payload slot. *)
   QCheck.Test.make ~name:"pqueue matches sorted reference model" ~count:100
-    QCheck.(list (pair (int_bound 100) bool))
+    QCheck.(
+      make
+        ~print:Print.(list (pair int int))
+        Gen.(list_size (int_range 100 400) (pair (int_bound 30) (int_bound 3))))
     (fun script ->
-      let q = Sim.Pqueue.create () in
+      let q = Sim.Pqueue.create ~dummy:(-1) in
+      let sl = Sim.Pqueue.slot ~dummy:(-1) in
       let model = ref [] in
       (* sorted by (time, seq) *)
       let seq = ref 0 in
@@ -65,15 +82,18 @@ let pqueue_vs_reference =
         in
         model := go !model
       in
+      let pop_matches ~before =
+        match (pq_pop ~before q sl, !model) with
+        | None, [] -> true
+        | None, (t, _, _) :: _ -> t >= before
+        | Some got, ((t, _, _) as expect) :: tl ->
+            model := tl;
+            got = expect && t < before
+        | Some _, [] -> false
+      in
       List.for_all
-        (fun (t, is_pop) ->
-          if is_pop then
-            match (Sim.Pqueue.pop q, !model) with
-            | None, [] -> true
-            | Some got, expect :: tl ->
-                model := tl;
-                got = expect
-            | _ -> false
+        (fun (t, op) ->
+          if op = 3 then pop_matches ~before:t
           else begin
             incr seq;
             Sim.Pqueue.push q ~time:t ~seq:!seq !seq;
@@ -83,7 +103,7 @@ let pqueue_vs_reference =
         script
       &&
       let rec drain () =
-        match (Sim.Pqueue.pop q, !model) with
+        match (pq_pop q sl, !model) with
         | None, [] -> true
         | Some got, expect :: tl ->
             model := tl;
@@ -93,7 +113,7 @@ let pqueue_vs_reference =
       drain ())
 
 let pqueue_min_time_bound () =
-  let q = Sim.Pqueue.create () in
+  let q = Sim.Pqueue.create ~dummy:"-" in
   let sl = Sim.Pqueue.slot ~dummy:"-" in
   checki "empty min_time is max_int" max_int (Sim.Pqueue.min_time q);
   Sim.Pqueue.push q ~time:50 ~seq:0 "a";
@@ -101,16 +121,17 @@ let pqueue_min_time_bound () =
   checki "min_time is head" 20 (Sim.Pqueue.min_time q);
   Alcotest.(check bool) "head not strictly before 20" false
     (Sim.Pqueue.pop_into q sl ~before:20);
-  checki "refused pop leaves the queue" 2 (Sim.Pqueue.length q);
+  checki "refused pop leaves the head" 20 (Sim.Pqueue.min_time q);
   Alcotest.(check bool) "head before 21" true
     (Sim.Pqueue.pop_into q sl ~before:21);
   checki "popped head time" 20 sl.Sim.Pqueue.s_time;
   checki "next head" 50 (Sim.Pqueue.min_time q);
-  ignore (Sim.Pqueue.pop q);
+  Alcotest.(check bool) "refused pop left both entries" true
+    (Sim.Pqueue.pop_into q sl ~before:max_int);
   checki "drained min_time is max_int" max_int (Sim.Pqueue.min_time q)
 
 let pqueue_pop_into_slot () =
-  let q = Sim.Pqueue.create () in
+  let q = Sim.Pqueue.create ~dummy:"-" in
   let sl = Sim.Pqueue.slot ~dummy:"-" in
   Alcotest.(check bool) "pop_into on empty" false
     (Sim.Pqueue.pop_into q sl ~before:max_int);
@@ -127,7 +148,7 @@ let pqueue_pop_into_slot () =
   checki "reused slot time" 40 sl.Sim.Pqueue.s_time;
   checki "reused slot seq" 0 sl.Sim.Pqueue.s_seq;
   check Alcotest.string "reused slot value" "b" sl.Sim.Pqueue.s_val;
-  Alcotest.(check bool) "drained" true (Sim.Pqueue.is_empty q)
+  Alcotest.(check bool) "drained" true (Sim.Pqueue.min_time q = max_int)
 
 (* ---- Rng ---- *)
 
