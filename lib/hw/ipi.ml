@@ -51,10 +51,12 @@ let shootdown m (c : Costs.t) ~mode ~src ~targets ~vpns =
         else Int64.mul (Int64.of_int npages) c.tlb_invlpg
       in
       let per_receiver = Int64.add c.ipi_receive invalidate_cost in
+      Tlb.invalidate_pages
+        (Array.of_list
+           (List.map (fun id -> (Machine.core m id).Machine.tlb) targets))
+        ~vpns;
       List.iter
         (fun core_id ->
-          let core = Machine.core m core_id in
-          List.iter (fun vpn -> Tlb.invalidate_page core.Machine.tlb ~vpn) vpns;
           if Trace.on () then
             Sim.Probe.instant_on_core ~core:core_id ~cat:"hw"
               ~value:per_receiver "ipi_recv";

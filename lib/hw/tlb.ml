@@ -39,16 +39,39 @@ let access t (c : Costs.t) ~vpn =
     c.tlb_miss_walk
   end
 
-let invalidate_page t ~vpn =
+let invalidate_local t (c : Costs.t) ~vpn =
   let s = slot_of t vpn in
   if t.slots.(s) = vpn then begin
     t.slots.(s) <- -1;
     t.invals <- t.invals + 1
-  end
-
-let invalidate_local t (c : Costs.t) ~vpn =
-  invalidate_page t ~vpn;
+  end;
   c.tlb_invlpg
+
+(* A shootdown clears the same pages on many TLBs of one capacity, so
+   each page's slot (an integer division) is computed once, not once per
+   TLB. *)
+let invalidate_pages tlbs ~vpns =
+  if Array.length tlbs > 0 then begin
+    let capacity = tlbs.(0).capacity in
+    Array.iter
+      (fun t ->
+        if t.capacity <> capacity then
+          invalid_arg "Tlb.invalidate_pages: capacities differ")
+      tlbs;
+    let vpns = Array.of_list vpns in
+    let at = Array.map (fun vpn -> vpn mod capacity) vpns in
+    Array.iter
+      (fun t ->
+        let slots = t.slots in
+        for i = 0 to Array.length vpns - 1 do
+          let s = at.(i) in
+          if slots.(s) = vpns.(i) then begin
+            slots.(s) <- -1;
+            t.invals <- t.invals + 1
+          end
+        done)
+      tlbs
+  end
 
 let flush t (c : Costs.t) =
   Array.fill t.slots 0 t.capacity (-1);

@@ -15,9 +15,12 @@ val access : t -> Costs.t -> vpn:int -> int64
 (** [access t c ~vpn] looks up [vpn]; on a miss, charges a page-table walk
     and installs the translation.  Returns the cycle cost (0 on a hit). *)
 
-val invalidate_page : t -> vpn:int -> unit
-(** [invalidate_page t ~vpn] drops [vpn]'s entry if cached (the effect of a
-    received shootdown; the cost is accounted by {!Ipi}). *)
+val invalidate_pages : t array -> vpns:int list -> unit
+(** [invalidate_pages tlbs ~vpns] drops, in every TLB of [tlbs], each
+    page of [vpns] whose entry it caches, counting one invalidation per
+    dropped entry (the effect of a received shootdown; the cost is
+    accounted by {!Ipi}).  Raises [Invalid_argument] if the TLBs'
+    capacities differ. *)
 
 val invalidate_local : t -> Costs.t -> vpn:int -> int64
 (** [invalidate_local t c ~vpn] is an [invlpg] executed by the owning core:

@@ -152,6 +152,80 @@ let ipi_invalidate_flush_threshold () =
   checki "no pages, no batch" sent (Hw.Ipi.shootdowns_sent ());
   check64 "no pages, no receive work" 0L (Hw.Machine.drain_irq m ~core:1)
 
+(* A shootdown must leave every core's TLB entries, its invalidation
+   count and its pending interrupt work exactly as clearing the batch
+   page by page on each receiver does.  64-entry TLBs over 256 pages give
+   slot conflicts, batches run from 1 to 70 pages (both sides of the
+   33-page flush threshold), and the target list may include [src]. *)
+let ipi_shootdown_vs_per_page =
+  let cores = 8 and cap = 64 and pool = 256 in
+  QCheck.Test.make ~name:"shootdown matches per-page reference" ~count:200
+    QCheck.(
+      make
+        ~print:
+          Print.(
+            quad int int (list int) (list int))
+        Gen.(
+          quad (int_bound 100_000) (int_bound (cores - 1))
+            (list_size (int_range 0 cores) (int_bound (cores - 1)))
+            (list_size (int_range 1 70) (int_bound (pool - 1)))))
+    (fun (seed, src, targets, vpns) ->
+      let targets = List.sort_uniq compare targets in
+      let machine () =
+        let m =
+          Hw.Machine.create
+            ~topology:(Hw.Topology.create ~cores ~nodes:2)
+            ~tlb_capacity:cap ()
+        in
+        let rng = Random.State.make [| seed |] in
+        Array.iter
+          (fun co ->
+            for _ = 1 to 150 do
+              ignore
+                (Hw.Tlb.access co.Hw.Machine.tlb c
+                   ~vpn:(Random.State.int rng pool))
+            done)
+          (Hw.Machine.cores m);
+        m
+      in
+      let m = machine () and r = machine () in
+      let cost = Hw.Ipi.shootdown m c ~mode:Hw.Ipi.Posted ~src ~targets ~vpns in
+      let receivers = List.filter (fun t -> t <> src) targets in
+      let npages = List.length vpns in
+      let per_receiver =
+        Int64.add c.Hw.Costs.ipi_receive
+          (if npages > 33 then c.Hw.Costs.tlb_full_flush
+           else Int64.mul (Int64.of_int npages) c.Hw.Costs.tlb_invlpg)
+      in
+      List.iter
+        (fun t ->
+          let tlb = (Hw.Machine.core r t).Hw.Machine.tlb in
+          List.iter (fun vpn -> ignore (Hw.Tlb.invalidate_local tlb c ~vpn)) vpns;
+          Hw.Machine.deliver_irq r ~core:t per_receiver)
+        receivers;
+      let expect_cost =
+        if receivers = [] then 0L
+        else Int64.add (Hw.Ipi.send_cost c Hw.Ipi.Posted) per_receiver
+      in
+      (* Which pages a TLB holds, read through its invalidation count:
+         dropping a page counts only if the page was cached. *)
+      let held tlb =
+        List.init pool (fun vpn ->
+            let before = Hw.Tlb.invalidations tlb in
+            ignore (Hw.Tlb.invalidate_local tlb c ~vpn);
+            Hw.Tlb.invalidations tlb > before)
+      in
+      cost = expect_cost
+      && List.for_all
+           (fun i ->
+             let a = Hw.Machine.core m i and b = Hw.Machine.core r i in
+             Hw.Tlb.invalidations a.Hw.Machine.tlb
+             = Hw.Tlb.invalidations b.Hw.Machine.tlb
+             && a.Hw.Machine.irqs_received = b.Hw.Machine.irqs_received
+             && Hw.Machine.drain_irq m ~core:i = Hw.Machine.drain_irq r ~core:i
+             && held a.Hw.Machine.tlb = held b.Hw.Machine.tlb)
+           (List.init cores Fun.id))
+
 let drain_irq_clears () =
   let m = Hw.Machine.create () in
   Hw.Machine.deliver_irq m ~core:3 500L;
@@ -231,6 +305,7 @@ let () =
           Alcotest.test_case "full flush past 33 pages" `Quick
             ipi_invalidate_flush_threshold;
           Alcotest.test_case "drain irq" `Quick drain_irq_clears;
+          QCheck_alcotest.to_alcotest ipi_shootdown_vs_per_page;
         ] );
       ( "page table",
         [
