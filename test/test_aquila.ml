@@ -41,9 +41,59 @@ let vma_remove () =
     (Aquila.Vma.insert v
        { Aquila.Vma.vstart = 50; npages = 4; file_id = 2; file_page0 = 0;
          advice = Aquila.Vma.Normal });
+  Alcotest.(check bool) "found before remove" true
+    (fst (Aquila.Vma.lookup v ~vpn:51) <> None);
   let removed, _ = Aquila.Vma.remove v ~vstart:50 in
   Alcotest.(check bool) "removed" true (removed <> None);
   Alcotest.(check bool) "gone" true (fst (Aquila.Vma.lookup v ~vpn:51) = None)
+
+(* [lookup] serves a page of the last area it hit without a tree search;
+   after any sequence of inserts, removes and replaces (a remove, then an
+   insert at the same start) it must still answer what a floor search
+   over the live areas answers, which a fresh index's first lookup is,
+   and charge the same cost whether or not the shortcut served it. *)
+let vma_lookup_vs_fresh =
+  QCheck.Test.make ~name:"lookup matches a fresh floor search" ~count:300
+    QCheck.(
+      make
+        ~print:Print.(list (triple int int int))
+        Gen.(
+          list_size (int_range 1 80)
+            (triple (int_bound 5) (int_bound 15) (int_bound 15))))
+    (fun script ->
+      let v = Aquila.Vma.create c in
+      let live = ref [] in
+      let area vstart npages =
+        { Aquila.Vma.vstart; npages; file_id = 1; file_page0 = 0;
+          advice = Aquila.Vma.Normal }
+      in
+      let insert a =
+        match Aquila.Vma.insert v a with
+        | _ -> live := a :: !live
+        | exception Invalid_argument _ -> ()
+      in
+      let remove vstart =
+        ignore (Aquila.Vma.remove v ~vstart);
+        live := List.filter (fun a -> a.Aquila.Vma.vstart <> vstart) !live
+      in
+      List.for_all
+        (fun (op, x, y) ->
+          let vstart = x * 8 in
+          match op with
+          | 0 -> insert (area vstart (1 + (y mod 10))); true
+          | 1 -> remove vstart; true
+          | 2 ->
+              remove vstart;
+              insert (area vstart (1 + (y mod 10)));
+              true
+          | _ ->
+              let vpn = vstart + y in
+              let fresh = Aquila.Vma.create c in
+              List.iter (fun a -> ignore (Aquila.Vma.insert fresh a)) !live;
+              let got, cost = Aquila.Vma.lookup v ~vpn in
+              let _, miss_cost = Aquila.Vma.lookup v ~vpn:1_000_000 in
+              got = fst (Aquila.Vma.lookup fresh ~vpn) && cost = miss_cost)
+        script)
 
 (* ---- Syscalls ---- *)
 
@@ -434,6 +484,7 @@ let () =
           Alcotest.test_case "insert/lookup" `Quick vma_insert_lookup;
           Alcotest.test_case "overlap rejected" `Quick vma_rejects_overlap;
           Alcotest.test_case "remove" `Quick vma_remove;
+          QCheck_alcotest.to_alcotest vma_lookup_vs_fresh;
         ] );
       ("syscalls", [ Alcotest.test_case "interception" `Quick syscall_counters ]);
       ( "context",
