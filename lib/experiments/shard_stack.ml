@@ -20,9 +20,10 @@
    the local path is the price of N-invariance, exactly the discipline
    the deterministic-merge contract demands.
 
-   The per-home pending queue is ordered by [(at, requester core,
-   requester ordinal)].  A server only pops entries with [at] strictly
-   in the past: the conservative promise guarantees every event with a
+   The per-home pending queue is a [Sim.Pqueue] ordered by [(at,
+   requester core, requester ordinal)], the last two packed into its
+   sequence number.  A server only pops entries with [at] strictly in
+   the past: the conservative promise guarantees every event with a
    timestamp below the shard's clock has already been delivered, so
    popping [at < now] (and idle-waiting to [at + 1] otherwise) makes the
    service order a pure function of the request keys — arrival races
@@ -36,20 +37,21 @@
 
 module Pagekey = Mcache.Pagekey
 
-type request = {
-  at : int; (* arrival timestamp (requester now + lookahead) *)
-  rcore : int; (* requester core — second merge key *)
-  ord : int; (* requester-core ordinal — third merge key *)
-  op : Sim.Shard.t -> unit; (* runs in the home server fiber *)
-}
-
 type home = {
   hid : int;
   mutable arena : Mcache.Dram_cache.t option; (* set by [attach] on the owner *)
-  mutable pending : request list; (* sorted by (at, rcore, ord); owner-only *)
+  pending : (Sim.Shard.t -> unit) Sim.Pqueue.t;
+      (* ops keyed by (at, rcore and ord packed); owner-only *)
   mutable wake : (unit -> unit) option; (* parked server's resume *)
   mutable served : int;
 }
+
+(* The requester ordinal takes the low [ord_bits] of a pending entry's
+   sequence number and the requester core the bits above, up to the sign
+   bit, so integer order on the sequence is (rcore, ord) order.  [create]
+   bounds the cores and [ship] the ordinals. *)
+let ord_bits = 40
+let rcore_bits = Sys.int_size - 1 - ord_bits
 
 type t = {
   nhomes : int;
@@ -63,6 +65,9 @@ type t = {
 let create ~homes ~cores ~lookahead () =
   if homes < 1 then invalid_arg "Shard_stack.create: homes must be >= 1";
   if cores < 1 then invalid_arg "Shard_stack.create: cores must be >= 1";
+  if cores > 1 lsl rcore_bits then
+    invalid_arg
+      (Printf.sprintf "Shard_stack.create: cores must be <= 2^%d" rcore_bits);
   if Int64.compare lookahead 1L < 0 then
     invalid_arg "Shard_stack.create: lookahead must be >= 1";
   {
@@ -70,7 +75,13 @@ let create ~homes ~cores ~lookahead () =
     la = lookahead;
     homes =
       Array.init homes (fun hid ->
-          { hid; arena = None; pending = []; wake = None; served = 0 });
+          {
+            hid;
+            arena = None;
+            pending = Sim.Pqueue.create ~dummy:ignore;
+            wake = None;
+            served = 0;
+          });
     ords = Array.make cores 0;
     local_ops = Array.make cores 0;
     remote_ops = Array.make cores 0;
@@ -93,48 +104,35 @@ let arena_exn hr =
    function of the request stream at any shard count. *)
 let serve_core = 0
 
-let req_le a b =
-  a.at < b.at
-  || (a.at = b.at
-     && (a.rcore < b.rcore || (a.rcore = b.rcore && a.ord <= b.ord)))
-
-let rec insert r = function
-  | [] -> [ r ]
-  | x :: _ as l when req_le r x -> r :: l
-  | x :: rest -> x :: insert r rest
-
 (* The home server: a daemon fiber that drains its pending queue in
    merge-key order.  Parked (empty queue) it holds no engine event, so a
    finished cluster drains; the enqueue path wakes it. *)
 let spawn_server sh hr =
   let eng = Sim.Shard.engine sh in
+  let next = Sim.Pqueue.slot ~dummy:ignore in
   ignore
     (Sim.Engine.spawn eng
        ~name:(Printf.sprintf "home-%d" hr.hid)
        ~core:hr.hid ~daemon:true
        (fun () ->
          let rec loop () =
-           match hr.pending with
-           | [] ->
-               Sim.Engine.suspend (fun resume -> hr.wake <- Some resume);
-               loop ()
-           | { at; _ } :: _ ->
-               let now = Int64.to_int (Sim.Engine.now_f ()) in
-               if at >= now then begin
-                 (* strictly-past pops only: once [now > at], every
-                    request timestamped [at] is guaranteed enqueued *)
-                 Sim.Engine.idle_wait (Int64.of_int (at + 1 - now));
-                 loop ()
-               end
-               else begin
-                 match hr.pending with
-                 | req :: rest ->
-                     hr.pending <- rest;
-                     req.op sh;
-                     hr.served <- hr.served + 1;
-                     loop ()
-                 | [] -> loop ()
-               end
+           let now = Int64.to_int (Sim.Engine.now_f ()) in
+           if Sim.Pqueue.pop_into hr.pending next ~before:now then begin
+             let op = next.Sim.Pqueue.s_val in
+             next.Sim.Pqueue.s_val <- ignore;
+             op sh;
+             hr.served <- hr.served + 1
+           end
+           else begin
+             let at = Sim.Pqueue.min_time hr.pending in
+             if at = max_int then
+               Sim.Engine.suspend (fun resume -> hr.wake <- Some resume)
+             else
+               (* strictly-past pops only: once [now > at], every
+                  request timestamped [at] is guaranteed enqueued *)
+               Sim.Engine.idle_wait (Int64.of_int (at + 1 - now))
+           end;
+           loop ()
          in
          loop ()))
 
@@ -175,6 +173,11 @@ let ship t sh ~core jobs =
             if !wait_sid < 0 then wait_sid := target
           end;
           let ord = t.ords.(core) in
+          if ord lsr ord_bits <> 0 then
+            invalid_arg
+              (Printf.sprintf "Shard_stack.ship: core %d used 2^%d ordinals"
+                 core ord_bits);
+          let seq = (core lsl ord_bits) lor ord in
           t.ords.(core) <- ord + 1;
           let op ssh =
             body (arena_exn hr);
@@ -191,7 +194,7 @@ let ship t sh ~core jobs =
                   | None -> ())
           in
           Sim.Shard.post sh ~to_:target ~at:at64 (fun _ ->
-              hr.pending <- insert { at; rcore = core; ord; op } hr.pending;
+              Sim.Pqueue.push hr.pending ~time:at ~seq op;
               match hr.wake with
               | Some r ->
                   hr.wake <- None;

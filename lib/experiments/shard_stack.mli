@@ -21,7 +21,8 @@ type t
 val create : homes:int -> cores:int -> lookahead:int64 -> unit -> t
 (** Build the hub {e before} [Sim.Shard.run]; it is shared by every
     shard's builder.  [cores] bounds requester core ids (per-core
-    ordinal counters).  [lookahead] must equal the cluster's. *)
+    ordinal counters) and must be at most 2{^22}, the core field of the
+    merge key.  [lookahead] must equal the cluster's. *)
 
 val homes : t -> int
 val lookahead : t -> int64
@@ -39,7 +40,10 @@ val ship :
 (** [ship t sh ~core jobs] posts each [(home, op)] to its owning server
     and blocks until every reply lands — the primitive {!fault_many} and
     {!msync_all} are built on.  Ops run inside the server fiber and may
-    suspend; charge arena costs there. *)
+    suspend; charge arena costs there.  Requests with equal timestamps
+    are served in (requester core, requester ordinal) order.  Raises
+    [Invalid_argument] once [core] has shipped 2{^40} requests, the
+    ordinal field of the merge key. *)
 
 val fault :
   t -> Sim.Shard.t -> core:int -> key:Mcache.Pagekey.t -> vpn:int -> write:bool -> unit

@@ -256,6 +256,39 @@ let blocked_report_waiting_on () =
      in
      scan 0)
 
+(* Requests that reach a home at one timestamp are served in (requester
+   core, requester ordinal) order, whatever order they were posted in;
+   a core count the merge key cannot hold is refused. *)
+let equal_time_service_order () =
+  let la = 1000L in
+  let hub = Experiments.Shard_stack.create ~homes:1 ~cores:4 ~lookahead:la () in
+  let served = ref [] in
+  let make_arena ~home:_ =
+    Mcache.Dram_cache.create ~costs:c ~machine:(Hw.Machine.create ())
+      ~page_table:(Hw.Page_table.create ())
+      (Mcache.Dram_cache.default_config ~frames:4)
+  in
+  ignore
+    (Sim.Shard.run ~deterministic:true ~shards:1 ~lookahead:la (fun sh ->
+         Experiments.Shard_stack.attach hub sh ~make_arena;
+         List.iter
+           (fun core ->
+             ignore
+               (Sim.Engine.spawn (Sim.Shard.engine sh) ~core (fun () ->
+                    Experiments.Shard_stack.ship hub sh ~core
+                      (List.init 2 (fun j ->
+                           (0, fun _ -> served := (core, j) :: !served))))))
+           [ 3; 1; 2; 0 ]));
+  Alcotest.(check (list (pair int int)))
+    "served in (core, ordinal) order"
+    [ (0, 0); (0, 1); (1, 0); (1, 1); (2, 0); (2, 1); (3, 0); (3, 1) ]
+    (List.rev !served);
+  Alcotest.check_raises "core field full"
+    (Invalid_argument "Shard_stack.create: cores must be <= 2^22") (fun () ->
+      ignore
+        (Experiments.Shard_stack.create ~homes:1 ~cores:((1 lsl 22) + 1)
+           ~lookahead:la ()))
+
 let () =
   Alcotest.run "sharded"
     [
@@ -272,6 +305,8 @@ let () =
           Alcotest.test_case "homes=1 == plain" `Quick
             single_home_partition_equals_plain;
           Alcotest.test_case "routing" `Quick partition_routing;
+          Alcotest.test_case "equal-time service order" `Quick
+            equal_time_service_order;
         ] );
       ( "satellites",
         [
