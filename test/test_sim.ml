@@ -150,6 +150,25 @@ let pqueue_pop_into_slot () =
   check Alcotest.string "reused slot value" "b" sl.Sim.Pqueue.s_val;
   Alcotest.(check bool) "drained" true (Sim.Pqueue.min_time q = max_int)
 
+(* A popped payload is not kept alive by the queue: its freed slot is
+   reset to the dummy, even while other entries stay queued. *)
+let pqueue_releases_popped () =
+  let q = Sim.Pqueue.create ~dummy:[||] in
+  let sl = Sim.Pqueue.slot ~dummy:[||] in
+  let w = Weak.create 1 in
+  let[@inline never] push_tracked () =
+    let v = Array.make 8 0 in
+    Weak.set w 0 (Some v);
+    Sim.Pqueue.push q ~time:1 ~seq:0 v
+  in
+  push_tracked ();
+  Sim.Pqueue.push q ~time:2 ~seq:1 [| 1 |];
+  Alcotest.(check bool) "popped" true (Sim.Pqueue.pop_into q sl ~before:2);
+  sl.Sim.Pqueue.s_val <- [||];
+  Gc.full_major ();
+  Alcotest.(check bool) "popped payload collected" false (Weak.check w 0);
+  checki "other entry still queued" 2 (Sim.Pqueue.min_time q)
+
 (* ---- Rng ---- *)
 
 let rng_deterministic () =
@@ -1017,6 +1036,8 @@ let () =
           Alcotest.test_case "pop_into slot" `Quick pqueue_pop_into_slot;
           QCheck_alcotest.to_alcotest pqueue_prop;
           QCheck_alcotest.to_alcotest pqueue_vs_reference;
+          Alcotest.test_case "releases popped payload" `Quick
+            pqueue_releases_popped;
         ] );
       ( "rng",
         [
