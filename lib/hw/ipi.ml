@@ -51,17 +51,16 @@ let shootdown m (c : Costs.t) ~mode ~src ~targets ~vpns =
         else Int64.mul (Int64.of_int npages) c.tlb_invlpg
       in
       let per_receiver = Int64.add c.ipi_receive invalidate_cost in
-      Tlb.invalidate_pages
-        (Array.of_list
-           (List.map (fun id -> (Machine.core m id).Machine.tlb) targets))
-        ~vpns;
-      List.iter
-        (fun core_id ->
+      (* each receiver's core record is read once per batch *)
+      let receivers = Array.map (Machine.core m) (Array.of_list targets) in
+      Tlb.invalidate_pages (Array.map (fun co -> co.Machine.tlb) receivers) ~vpns;
+      Array.iter
+        (fun co ->
           if Trace.on () then
-            Sim.Probe.instant_on_core ~core:core_id ~cat:"hw"
+            Sim.Probe.instant_on_core ~core:co.Machine.id ~cat:"hw"
               ~value:per_receiver "ipi_recv";
-          Machine.deliver_irq m ~core:core_id per_receiver)
-        targets;
+          Machine.receive_irq co per_receiver)
+        receivers;
       (* Sender: one send per batch (posted IPIs broadcast), then wait for
          the slowest ack; receivers proceed in parallel. *)
       Int64.add (send_cost c mode) per_receiver

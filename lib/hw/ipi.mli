@@ -4,7 +4,7 @@
     may cache them.  The sender pays the send cost (once per batch in
     Aquila's batched scheme, Section 4.1) plus the wait for the slowest
     receiver's acknowledgement; each receiving core is charged the
-    receive-plus-invalidate work through {!Machine.deliver_irq}. *)
+    receive-plus-invalidate work through {!Machine.receive_irq}. *)
 
 type send_mode =
   | Posted  (** posted interrupts, no vmexit on the send path: 298 cycles *)

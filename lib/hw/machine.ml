@@ -1,7 +1,7 @@
 type core = {
   id : int;
   tlb : Tlb.t;
-  mutable pending_irq : int64;
+  mutable pending_irq : int;
   mutable irqs_received : int;
 }
 
@@ -9,7 +9,7 @@ type t = { topo : Topology.t; core_arr : core array }
 
 let create ?(topology = Topology.default) ?tlb_capacity () =
   let mk i =
-    { id = i; tlb = Tlb.create ?capacity:tlb_capacity (); pending_irq = 0L; irqs_received = 0 }
+    { id = i; tlb = Tlb.create ?capacity:tlb_capacity (); pending_irq = 0; irqs_received = 0 }
   in
   { topo = topology; core_arr = Array.init topology.Topology.cores mk }
 
@@ -21,13 +21,17 @@ let core t i =
 
 let cores t = t.core_arr
 
-let deliver_irq t ~core:i c =
-  let co = core t i in
-  co.pending_irq <- Int64.add co.pending_irq c;
+let receive_irq co c =
+  co.pending_irq <- co.pending_irq + Int64.to_int c;
   co.irqs_received <- co.irqs_received + 1
+
+let deliver_irq t ~core:i c = receive_irq (core t i) c
 
 let drain_irq t ~core:i =
   let co = core t i in
   let p = co.pending_irq in
-  co.pending_irq <- 0L;
-  p
+  if p = 0 then 0L
+  else begin
+    co.pending_irq <- 0;
+    Int64.of_int p
+  end

@@ -9,7 +9,7 @@
 type core = {
   id : int;
   tlb : Tlb.t;
-  mutable pending_irq : int64;  (** interrupt cycles not yet absorbed *)
+  mutable pending_irq : int;  (** interrupt cycles not yet absorbed *)
   mutable irqs_received : int;
 }
 
@@ -25,11 +25,14 @@ val core : t -> int -> core
 
 val cores : t -> core array
 
+val receive_irq : core -> int64 -> unit
+(** [receive_irq co c] queues [c] cycles of interrupt-handling work on the
+    core whose record is [co]. *)
+
 val deliver_irq : t -> core:int -> int64 -> unit
-(** [deliver_irq t ~core c] queues [c] cycles of interrupt-handling work on
-    [core]. *)
+(** [deliver_irq t ~core c] is {!receive_irq} on [core]'s record. *)
 
 val drain_irq : t -> core:int -> int64
 (** [drain_irq t ~core] returns and clears the pending interrupt cycles for
     [core].  The calling fiber should charge the returned amount as [Sys]
-    time. *)
+    time.  With nothing pending it returns [0L] and allocates nothing. *)
