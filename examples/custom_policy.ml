@@ -44,9 +44,7 @@ let run { label; tweak; advice; host_access } =
          let f =
            Aquila.Context.attach_file s.Experiments.Scenario.a_ctx ~name:"data"
              ~access:s.Experiments.Scenario.a_access
-             ~translate:(fun p ->
-               if p < pages then Some (Blobstore.Store.device_page blob p) else None)
-             ~size_pages:pages
+             ~translate:(Blobstore.Store.translate blob) ~size_pages:pages
          in
          let r =
            Aquila.Context.mmap s.Experiments.Scenario.a_ctx f ~npages:pages ()

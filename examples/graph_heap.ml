@@ -26,42 +26,17 @@ let bfs_on surface_of =
 
 let () =
   let dram () = Ligra.Mem_surface.dram () in
-  let aquila () =
-    let s = Experiments.Scenario.make_aquila ~frames ~dev:Experiments.Scenario.Pmem () in
-    Aquila.Context.enter_thread s.Experiments.Scenario.a_ctx;
-    let blob =
-      Blobstore.Store.create_blob s.Experiments.Scenario.a_store ~name:"heap"
-        ~pages:heap_pages ()
-    in
-    let f =
-      Aquila.Context.attach_file s.Experiments.Scenario.a_ctx ~name:"heap"
-        ~access:s.Experiments.Scenario.a_access
-        ~translate:(fun p ->
-          if p < heap_pages then Some (Blobstore.Store.device_page blob p) else None)
-        ~size_pages:heap_pages
-    in
-    let r = Aquila.Context.mmap s.Experiments.Scenario.a_ctx f ~npages:heap_pages () in
-    Ligra.Mem_surface.aquila ~elem_bytes:32 s.Experiments.Scenario.a_ctx r
+  (* the only porting effort: map the heap, hand Ligra its page touch *)
+  let mapped sys =
+    Experiments.Microbench.enter sys;
+    let r = Experiments.Microbench.make_region sys ~name:"heap" ~pages:heap_pages in
+    Ligra.Mem_surface.mapped ~elem_bytes:32 ~pages:heap_pages
+      r.Experiments.Microbench.touch_buf
   in
-  let linux () =
-    let s =
-      Experiments.Scenario.make_linux ~readahead:1 ~frames
-        ~dev:Experiments.Scenario.Pmem ()
-    in
-    Linux_sim.Mmap_sys.enter_thread s.Experiments.Scenario.l_msys;
-    let blob =
-      Blobstore.Store.create_blob s.Experiments.Scenario.l_store ~name:"heap"
-        ~pages:heap_pages ()
-    in
-    let f =
-      Linux_sim.Mmap_sys.attach_file s.Experiments.Scenario.l_msys ~name:"heap"
-        ~access:s.Experiments.Scenario.l_access
-        ~translate:(fun p ->
-          if p < heap_pages then Some (Blobstore.Store.device_page blob p) else None)
-        ~size_pages:heap_pages
-    in
-    let r = Linux_sim.Mmap_sys.mmap s.Experiments.Scenario.l_msys f ~npages:heap_pages () in
-    Ligra.Mem_surface.linux ~elem_bytes:32 s.Experiments.Scenario.l_msys r
+  let aquila () =
+    mapped (Aq Experiments.Scenario.(make_aquila ~frames ~dev:Pmem ()))
+  and linux () =
+    mapped (Lx Experiments.Scenario.(make_linux ~readahead:1 ~frames ~dev:Pmem ()))
   in
   Printf.printf "BFS over R-MAT graph (%d vertices, %d edges), %d threads:\n" n m threads;
   let report name (ms, visited, rounds) =

@@ -5,7 +5,6 @@ type blob = {
   home : int; (* allocation shard clusters are preferred from *)
   mutable clusters : int array; (* cluster indices, in blob order *)
   mutable pages : int;
-  xattrs : (string, string) Hashtbl.t;
 }
 
 (* Free clusters are partitioned into [shards] lists by a static map
@@ -109,7 +108,6 @@ let create_blob t ?name ?(shard = 0) ~pages () =
       home = shard;
       clusters;
       pages;
-      xattrs = Hashtbl.create 4;
     }
   in
   t.next_id <- t.next_id + 1;
@@ -126,34 +124,18 @@ let blob_name b = b.bname
 let blob_pages b = b.pages
 let blob_shard b = b.home
 
-let resize t b ~pages =
-  let have = Array.length b.clusters in
-  let need = clusters_for t pages in
-  if need > have then begin
-    let extra = take_clusters t ~home:b.home (need - have) in
-    b.clusters <- Array.append b.clusters extra
-  end
-  else if need < have then begin
-    for i = need to have - 1 do
-      free_cluster t b.clusters.(i)
-    done;
-    b.clusters <- Array.sub b.clusters 0 need
-  end;
-  b.pages <- pages
-
 let delete t b =
   Array.iter (fun c -> free_cluster t c) b.clusters;
   b.clusters <- [||];
   b.pages <- 0;
   Hashtbl.remove t.blobs b.id
 
-let set_xattr b k v = Hashtbl.replace b.xattrs k v
-let get_xattr b k = Hashtbl.find_opt b.xattrs k
-
 let device_page b p =
   if p < 0 || p >= b.pages then invalid_arg "Blobstore.device_page: out of range";
   let cl = p / b.bcl_pages and off = p mod b.bcl_pages in
   (b.clusters.(cl) * b.bcl_pages) + off
+
+let translate b p = if p < b.pages then Some (device_page b p) else None
 
 let contiguous_run b p =
   if p < 0 || p >= b.pages then invalid_arg "Blobstore.contiguous_run: out of range";

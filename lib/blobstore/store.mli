@@ -1,10 +1,9 @@
 (** SPDK-Blobstore-style flat namespace of blobs (Section 3.3, [60]).
 
     A blobstore manages the page space of one device as fixed-size
-    clusters.  Blobs are identified by a unique id, can be created,
-    resized and deleted at runtime, and carry extended attributes.  Blob
-    pages translate to device pages through the blob's cluster list, so a
-    resized blob need not be contiguous on the device.
+    clusters.  Blobs are identified by a unique id and are created and
+    deleted at runtime.  Blob pages translate to device pages through the
+    blob's cluster list, so a blob need not be contiguous on the device.
 
     This is pure space management: I/O goes through the owning device's
     {!Sdevice.Access} method using the page numbers translated here. *)
@@ -48,21 +47,20 @@ val blob_name : blob -> string option
 val blob_pages : blob -> int
 
 val blob_shard : blob -> int
-(** The allocation shard passed at {!create_blob}; {!resize} growth
-    prefers the same partition. *)
-
-val resize : t -> blob -> pages:int -> unit
-(** [resize t b ~pages] grows or shrinks [b]. *)
+(** The allocation shard passed at {!create_blob}. *)
 
 val delete : t -> blob -> unit
 (** [delete t b] returns [b]'s clusters to the free pool. *)
 
-val set_xattr : blob -> string -> string -> unit
-val get_xattr : blob -> string -> string option
-
 val device_page : blob -> int -> int
 (** [device_page b p] is the device page backing blob page [p].  Raises
     [Invalid_argument] if [p] is out of range. *)
+
+val translate : blob -> int -> int option
+(** [translate b] maps the pages of a file stored as the one blob [b] to
+    device pages: [translate b p] is [Some (device_page b p)] for a page
+    of the blob and [None] past its end.  It is the [~translate] a mapped
+    or direct-I/O file is attached with. *)
 
 val contiguous_run : blob -> int -> int
 (** [contiguous_run b p] is the number of blob pages starting at [p] that

@@ -14,7 +14,7 @@ let ept_granularity = 2097152L
 type file = {
   fid : int;
   fname : string;
-  mutable size_pages : int;
+  size_pages : int;
   translate : int -> int option;
 }
 
@@ -70,7 +70,6 @@ let create ?(costs = Hw.Costs.default) ?machine cfg =
   }
 
 let costs t = t.ccosts
-let machine t = t.cmachine
 let cache t = t.ccache
 let syscalls t = t.sys
 
@@ -95,7 +94,6 @@ let attach_file t ~name ~access ~translate ~size_pages =
   Mcache.Dram_cache.register_file t.ccache ~file_id:f.fid ~access ~translate;
   f
 
-let file_size_pages f = f.size_pages
 let file_id f = f.fid
 
 let mmap t file ?(file_page0 = 0) ~npages () =
@@ -193,7 +191,9 @@ let readahead_for (area : Vma.area) =
   | Vma.Sequential | Vma.Willneed -> readahead_sequential
   | Vma.Random | Vma.Dontneed | Vma.Normal -> 0
 
-(* One page-granular access.  Returns the backing frame number.  Retries
+(* One page-granular access.  Returns the backing frame number.  A hit
+   is the shared hardware path; a miss takes Aquila's fault path, whose
+   costs are charged inline while the hit path's stay in [buf].  Retries
    when the freshly installed translation is stolen by a concurrent
    eviction before the access completes, as a re-executed instruction
    would. *)
@@ -205,14 +205,8 @@ let rec touch_page ?(attempt = 0) t region ~page ~write buf =
   let core = current_core () in
   t.s_accesses <- t.s_accesses + 1;
   Metrics.Registry.incr t.m_accesses;
-  let irq = Hw.Machine.drain_irq t.cmachine ~core in
-  Sim.Costbuf.add buf "irq" irq;
-  let own = (Hw.Machine.core t.cmachine core).Hw.Machine.tlb in
-  Sim.Costbuf.add buf "tlb_walk" (Hw.Tlb.access own t.ccosts ~vpn);
-  match Hw.Page_table.find t.pt ~vpn with
-  | Some pte when (not write) || pte.Hw.Page_table.writable ->
-      if write then pte.Hw.Page_table.dirty <- true;
-      pte.Hw.Page_table.pfn
+  match Hw.Mmu.access t.cmachine t.ccosts t.pt ~core ~vpn ~write buf with
+  | pfn when pfn <> Hw.Mmu.no_frame -> pfn
   | _ ->
       t.s_faults <- t.s_faults + 1;
       Metrics.Registry.incr t.m_faults;
@@ -273,40 +267,26 @@ let touch t region ~page ~write =
 let touch_buf t region ~page ~write ~buf =
   ignore (touch_page t region ~page ~write buf)
 
+(* The shared byte-range copy over this stack's page access.  Both
+   functions are closed, so a copy allocates no closure. *)
+let copy t region ~write ~off ~len b =
+  Hw.Mmu.copy
+    ~touch:(fun t r ~page ~write buf -> touch_page t r ~page ~write buf)
+    ~frame:(fun t pfn -> Mcache.Dram_cache.pfn_data t.ccache pfn)
+    t region ~write ~off ~len b
+
 let read t region ~off ~len ~dst =
   if off < 0 || len < 0 || off + len > region.npages * psz then
     invalid_arg "Context.read: range outside region";
   if Bytes.length dst < len then invalid_arg "Context.read: dst too small";
-  let buf = Sim.Costbuf.create () in
-  let pos = ref 0 in
-  while !pos < len do
-    let abs = off + !pos in
-    let page = abs / psz and in_page = abs mod psz in
-    let chunk = min (len - !pos) (psz - in_page) in
-    let pfn = touch_page t region ~page ~write:false buf in
-    let data = Mcache.Dram_cache.pfn_data t.ccache pfn in
-    Bytes.blit data in_page dst !pos chunk;
-    pos := !pos + chunk
-  done;
-  Sim.Costbuf.charge buf
+  copy t region ~write:false ~off ~len dst
 
 let write ?len t region ~off ~src =
   let len = Option.value len ~default:(Bytes.length src) in
   if len > Bytes.length src then invalid_arg "Context.write: src too small";
   if off < 0 || off + len > region.npages * psz then
     invalid_arg "Context.write: range outside region";
-  let buf = Sim.Costbuf.create () in
-  let pos = ref 0 in
-  while !pos < len do
-    let abs = off + !pos in
-    let page = abs / psz and in_page = abs mod psz in
-    let chunk = min (len - !pos) (psz - in_page) in
-    let pfn = touch_page t region ~page ~write:true buf in
-    let data = Mcache.Dram_cache.pfn_data t.ccache pfn in
-    Bytes.blit src !pos data in_page chunk;
-    pos := !pos + chunk
-  done;
-  Sim.Costbuf.charge buf
+  copy t region ~write:true ~off ~len src
 
 let resize_cache t ~frames =
   Syscalls.forwarded t.sys t.ccosts t.dom "cache_resize";

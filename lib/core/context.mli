@@ -10,7 +10,9 @@
     All data-plane functions ({!read}, {!write}, {!touch}) must run inside
     a {!Sim.Engine} fiber; they move {e real bytes} and charge mmio costs:
     a hit costs only the (usually zero) TLB work, a miss runs the full
-    fault path. *)
+    fault path.  The hit and the byte-range copy are the access path
+    {!Linux_sim.Mmap_sys} runs too ({!Hw.Mmu}); only the fault path is
+    Aquila's own. *)
 
 type config = {
   cache : Mcache.Dram_cache.config;
@@ -35,7 +37,6 @@ val create : ?costs:Hw.Costs.t -> ?machine:Hw.Machine.t -> config -> t
     adds to the application's [main]). *)
 
 val costs : t -> Hw.Costs.t
-val machine : t -> Hw.Machine.t
 val cache : t -> Mcache.Dram_cache.t
 val syscalls : t -> Syscalls.t
 
@@ -55,7 +56,6 @@ val attach_file :
     file/device so regions can map it.  [translate] maps file pages to
     device pages (e.g. through a {!Blobstore.Store} blob). *)
 
-val file_size_pages : file -> int
 val file_id : file -> int
 
 val mmap : t -> file -> ?file_page0:int -> npages:int -> unit -> region

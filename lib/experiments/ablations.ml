@@ -95,9 +95,7 @@ let readahead () =
            let f =
              Aquila.Context.attach_file s.Scenario.a_ctx ~name:"seq"
                ~access:s.Scenario.a_access
-               ~translate:(fun p ->
-                 if p < pages then Some (Blobstore.Store.device_page blob p) else None)
-               ~size_pages:pages
+               ~translate:(Blobstore.Store.translate blob) ~size_pages:pages
            in
            let r = Aquila.Context.mmap s.Scenario.a_ctx f ~npages:pages () in
            Aquila.Context.madvise s.Scenario.a_ctx r advice;

@@ -52,41 +52,17 @@ let run_one ~cfg ~frames ~threads =
   (* surfaces must be created inside a fiber (mmap charges costs) *)
   ignore
     (Sim.Engine.spawn eng ~name:"setup" ~core:0 (fun () ->
+         let mapped sys =
+           Microbench.enter sys;
+           let r = Microbench.make_region sys ~name:"heap" ~pages:heap_pages in
+           Ligra.Mem_surface.mapped ~elem_bytes ~pages:heap_pages
+             r.Microbench.touch_buf
+         in
          let mk_aquila dev =
-           let s = Scenario.make_aquila ~frames ~dev () in
-           Aquila.Context.enter_thread s.Scenario.a_ctx;
-           let blob =
-             Blobstore.Store.create_blob s.Scenario.a_store ~name:"heap"
-               ~pages:heap_pages ()
-           in
-           let translate p =
-             if p < heap_pages then Some (Blobstore.Store.device_page blob p)
-             else None
-           in
-           let f =
-             Aquila.Context.attach_file s.Scenario.a_ctx ~name:"heap"
-               ~access:s.Scenario.a_access ~translate ~size_pages:heap_pages
-           in
-           let r = Aquila.Context.mmap s.Scenario.a_ctx f ~npages:heap_pages () in
-           Ligra.Mem_surface.aquila ~elem_bytes s.Scenario.a_ctx r
+           mapped (Microbench.Aq (Scenario.make_aquila ~frames ~dev ()))
          in
          let mk_linux dev =
-           let s = Scenario.make_linux ~readahead:1 ~frames ~dev () in
-           Linux_sim.Mmap_sys.enter_thread s.Scenario.l_msys;
-           let blob =
-             Blobstore.Store.create_blob s.Scenario.l_store ~name:"heap"
-               ~pages:heap_pages ()
-           in
-           let translate p =
-             if p < heap_pages then Some (Blobstore.Store.device_page blob p)
-             else None
-           in
-           let f =
-             Linux_sim.Mmap_sys.attach_file s.Scenario.l_msys ~name:"heap"
-               ~access:s.Scenario.l_access ~translate ~size_pages:heap_pages
-           in
-           let r = Linux_sim.Mmap_sys.mmap s.Scenario.l_msys f ~npages:heap_pages () in
-           Ligra.Mem_surface.linux ~elem_bytes s.Scenario.l_msys r
+           mapped (Microbench.Lx (Scenario.make_linux ~readahead:1 ~frames ~dev ()))
          in
          surface_ref :=
            Some

@@ -137,13 +137,10 @@ let run_c () =
                  Blobstore.Store.create_blob stack.Scenario.a_store ~name:"f.dat"
                    ~pages ()
                in
-               let translate p =
-                 if p < pages then Some (Blobstore.Store.device_page blob p)
-                 else None
-               in
                let file =
                  Aquila.Context.attach_file ctx ~name:"f.dat"
-                   ~access:stack.Scenario.a_access ~translate ~size_pages:pages
+                   ~access:stack.Scenario.a_access
+                   ~translate:(Blobstore.Store.translate blob) ~size_pages:pages
                in
                let r1 = Aquila.Context.mmap ctx file ~npages:pages () in
                let measured_region =

@@ -14,12 +14,10 @@ type result = {
 
 type pattern = Uniform | Permutation | Zipf
 
-type region_ops = { touch : page:int -> write:bool -> unit }
-
-let translate_of blob p =
-  if p < Blobstore.Store.blob_pages blob then
-    Some (Blobstore.Store.device_page blob p)
-  else None
+type region_ops = {
+  touch : page:int -> write:bool -> unit;
+  touch_buf : page:int -> write:bool -> buf:Sim.Costbuf.t -> unit;
+}
 
 (* Create a mapped file on the stack; must run inside a fiber. *)
 let make_region sys ~name ~pages =
@@ -30,13 +28,16 @@ let make_region sys ~name ~pages =
       in
       let f =
         Aquila.Context.attach_file s.Scenario.a_ctx ~name
-          ~access:s.Scenario.a_access ~translate:(translate_of blob)
+          ~access:s.Scenario.a_access ~translate:(Blobstore.Store.translate blob)
           ~size_pages:pages
       in
       let r = Aquila.Context.mmap s.Scenario.a_ctx f ~npages:pages () in
       {
         touch =
           (fun ~page ~write -> Aquila.Context.touch s.Scenario.a_ctx r ~page ~write);
+        touch_buf =
+          (fun ~page ~write ~buf ->
+            Aquila.Context.touch_buf s.Scenario.a_ctx r ~page ~write ~buf);
       }
   | Lx s ->
       let blob =
@@ -44,7 +45,7 @@ let make_region sys ~name ~pages =
       in
       let f =
         Linux_sim.Mmap_sys.attach_file s.Scenario.l_msys ~name
-          ~access:s.Scenario.l_access ~translate:(translate_of blob)
+          ~access:s.Scenario.l_access ~translate:(Blobstore.Store.translate blob)
           ~size_pages:pages
       in
       let r = Linux_sim.Mmap_sys.mmap s.Scenario.l_msys f ~npages:pages () in
@@ -52,6 +53,9 @@ let make_region sys ~name ~pages =
         touch =
           (fun ~page ~write ->
             Linux_sim.Mmap_sys.touch s.Scenario.l_msys r ~page ~write);
+        touch_buf =
+          (fun ~page ~write ~buf ->
+            Linux_sim.Mmap_sys.touch_buf s.Scenario.l_msys r ~page ~write ~buf);
       }
 
 let enter sys =

@@ -48,10 +48,17 @@ val run :
 
 (** {1 Building blocks for custom microbenchmarks (Figure 8(c))} *)
 
-type region_ops = { touch : page:int -> write:bool -> unit }
+type region_ops = {
+  touch : page:int -> write:bool -> unit;
+      (** one load or store to the region's [page]-th page, charged at once *)
+  touch_buf : page:int -> write:bool -> buf:Sim.Costbuf.t -> unit;
+      (** the same access with its hit-path costs added to [buf] (the
+          stack's [touch_buf]), for loops that charge in batches *)
+}
 
 val make_region : sys -> name:string -> pages:int -> region_ops
-(** Allocate, attach and map a file on the stack; fiber-only. *)
+(** Allocate, attach and map a file of [pages] pages on the stack (one
+    blob, translated by {!Blobstore.Store.translate}); fiber-only. *)
 
 val enter : sys -> unit
 (** Per-thread entry ({!Aquila.Context.enter_thread} or the Linux

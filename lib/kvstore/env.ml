@@ -22,11 +22,6 @@ let sync f = f.fsync ()
 let delete f = f.fdelete ()
 let size_pages f = f.fsize
 
-let translate_of blob p =
-  if p < Blobstore.Store.blob_pages blob then
-    Some (Blobstore.Store.device_page blob p)
-  else None
-
 let direct_ucache ~store ~costs ~device_access ~ucache =
   let staging = Sdevice.Bufpool.pages () in
   let next_id = ref 100000 (* distinct from mmio context fids *) in
@@ -37,7 +32,7 @@ let direct_ucache ~store ~costs ~device_access ~ucache =
     let file_id = !next_id in
     let fd =
       Linux_sim.Readwrite.open_direct ~costs ~access:device_access
-        ~translate:(translate_of blob) ~size_pages ~staging
+        ~translate:(Blobstore.Store.translate blob) ~size_pages ~staging
     in
     Uspace.User_cache.register_file ucache ~file_id ~fd;
     {
@@ -60,7 +55,7 @@ let linux_mmap ~store ~msys ~device_access =
     let blob = Blobstore.Store.create_blob store ~name ~pages:size_pages () in
     let lf =
       Linux_sim.Mmap_sys.attach_file msys ~name ~access:device_access
-        ~translate:(translate_of blob) ~size_pages
+        ~translate:(Blobstore.Store.translate blob) ~size_pages
     in
     let region = Linux_sim.Mmap_sys.mmap msys lf ~npages:size_pages () in
     {
@@ -85,7 +80,7 @@ let aquila ~store ~ctx ~device_access =
     let blob = Blobstore.Store.create_blob store ~name ~pages:size_pages () in
     let af =
       Aquila.Context.attach_file ctx ~name ~access:device_access
-        ~translate:(translate_of blob) ~size_pages
+        ~translate:(Blobstore.Store.translate blob) ~size_pages
     in
     let region = Aquila.Context.mmap ctx af ~npages:size_pages () in
     {

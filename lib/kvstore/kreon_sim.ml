@@ -46,14 +46,9 @@ let create ~ctx ~access ~store ~expected_records ~value_bytes ?(config = default
     + Array.fold_left (fun acc c -> acc + (2 * Btree.pages_needed c)) 0 caps
   in
   let blob = Blobstore.Store.create_blob store ~name:"kreon.data" ~pages:total () in
-  let translate p =
-    if p < Blobstore.Store.blob_pages blob then
-      Some (Blobstore.Store.device_page blob p)
-    else None
-  in
   let file =
-    Aquila.Context.attach_file ctx ~name:"kreon.data" ~access ~translate
-      ~size_pages:total
+    Aquila.Context.attach_file ctx ~name:"kreon.data" ~access
+      ~translate:(Blobstore.Store.translate blob) ~size_pages:total
   in
   let region = Aquila.Context.mmap ctx file ~npages:total () in
   let rw =

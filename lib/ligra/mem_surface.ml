@@ -2,8 +2,7 @@ let psz = Hw.Defs.page_size
 
 type backend =
   | Dram
-  | Aquila of Aquila.Context.t * Aquila.Context.region
-  | Linux of Linux_sim.Mmap_sys.t * Linux_sim.Mmap_sys.region
+  | Mapped of (page:int -> write:bool -> buf:Sim.Costbuf.t -> unit)
 
 type t = {
   backend : backend;
@@ -14,29 +13,8 @@ type t = {
 
 let dram () = { backend = Dram; next_byte = 0; limit_bytes = max_int; eb = 8 }
 
-let aquila ?(elem_bytes = 8) ctx region =
-  {
-    backend = Aquila (ctx, region);
-    next_byte = 0;
-    limit_bytes = Aquila.Context.region_npages region * psz;
-    eb = elem_bytes;
-  }
-
-let linux ?(elem_bytes = 8) msys region =
-  {
-    backend = Linux (msys, region);
-    next_byte = 0;
-    limit_bytes = Linux_sim.Mmap_sys.region_npages region * psz;
-    eb = elem_bytes;
-  }
-
-let elem_bytes t = t.eb
-
-let name t =
-  match t.backend with
-  | Dram -> "dram"
-  | Aquila _ -> "aquila"
-  | Linux _ -> "linux-mmap"
+let mapped ?(elem_bytes = 8) ~pages touch =
+  { backend = Mapped touch; next_byte = 0; limit_bytes = pages * psz; eb = elem_bytes }
 
 type 'a arr = {
   surf : t;
@@ -50,7 +28,7 @@ let alloc t ~len ~init =
   let page0 =
     match t.backend with
     | Dram -> -1
-    | Aquila _ | Linux _ ->
+    | Mapped _ ->
         (* page-align each array, as malloc-over-mmap does for large blocks *)
         let start = (t.next_byte + psz - 1) / psz * psz in
         if start + bytes > t.limit_bytes then
@@ -65,10 +43,7 @@ let page_of a i = a.page0 + (i * a.surf.eb / psz)
 let touch a ~buf i ~write =
   match a.surf.backend with
   | Dram -> ()
-  | Aquila (ctx, region) ->
-      Aquila.Context.touch_buf ctx region ~page:(page_of a i) ~write ~buf
-  | Linux (msys, region) ->
-      Linux_sim.Mmap_sys.touch_buf msys region ~page:(page_of a i) ~write ~buf
+  | Mapped touch -> touch ~page:(page_of a i) ~write ~buf
 
 let get a ~buf i =
   touch a ~buf i ~write:false;

@@ -28,7 +28,6 @@ type t = {
   mutable next_vpn : int;
   mutable next_fid : int;
   mutable thread_cores : int list;
-  mutable s_accesses : int;
   mutable s_faults : int;
 }
 
@@ -45,12 +44,10 @@ let create ?(costs = Hw.Costs.default) ?machine cfg =
     next_vpn = 256;
     next_fid = 1;
     thread_cores = [];
-    s_accesses = 0;
     s_faults = 0;
   }
 
 let costs t = t.lcosts
-let machine t = t.lmachine
 let page_cache t = t.pc
 
 let enter_thread t =
@@ -119,21 +116,17 @@ let vma_lookup_cost t =
   let d = max 1 (Vtree.depth_estimate t.vmas) in
   Int64.add 120L (Int64.mul t.lcosts.Hw.Costs.vma_lookup (Int64.of_int (max 1 (d / 4))))
 
+(* One page-granular access: the shared hardware path, and on a miss the
+   kernel's fault path, which charges the hit path's costs before the
+   trap. *)
 let rec touch_page ?(attempt = 0) t region ~page ~write buf =
   if page < 0 || page >= region.r_area.npages then
     invalid_arg "Mmap_sys: access outside region";
   if attempt > 100 then failwith "Mmap_sys: access cannot make progress (thrash)";
   let vpn = region.r_area.vstart + page in
   let core = (Sim.Engine.self ()).Sim.Engine.core in
-  t.s_accesses <- t.s_accesses + 1;
-  let irq = Hw.Machine.drain_irq t.lmachine ~core in
-  Sim.Costbuf.add buf "irq" irq;
-  let own = (Hw.Machine.core t.lmachine core).Hw.Machine.tlb in
-  Sim.Costbuf.add buf "tlb_walk" (Hw.Tlb.access own t.lcosts ~vpn);
-  match Hw.Page_table.find t.pt ~vpn with
-  | Some pte when (not write) || pte.Hw.Page_table.writable ->
-      if write then pte.Hw.Page_table.dirty <- true;
-      pte.Hw.Page_table.pfn
+  match Hw.Mmu.access t.lmachine t.lcosts t.pt ~core ~vpn ~write buf with
+  | pfn when pfn <> Hw.Mmu.no_frame -> pfn
   | _ ->
       t.s_faults <- t.s_faults + 1;
       Sim.Costbuf.charge buf;
@@ -164,40 +157,25 @@ let touch t region ~page ~write =
 let touch_buf t region ~page ~write ~buf =
   ignore (touch_page t region ~page ~write buf)
 
+(* The shared byte-range copy over this stack's page access.  Both
+   functions are closed, so a copy allocates no closure. *)
+let copy t region ~write ~off ~len b =
+  Hw.Mmu.copy
+    ~touch:(fun t r ~page ~write buf -> touch_page t r ~page ~write buf)
+    ~frame:(fun t pfn -> Page_cache.pfn_data t.pc pfn)
+    t region ~write ~off ~len b
+
 let read t region ~off ~len ~dst =
   if off < 0 || len < 0 || off + len > region.r_area.npages * psz then
     invalid_arg "Mmap_sys.read: range outside region";
   if Bytes.length dst < len then invalid_arg "Mmap_sys.read: dst too small";
-  let buf = Sim.Costbuf.create () in
-  let pos = ref 0 in
-  while !pos < len do
-    let abs = off + !pos in
-    let page = abs / psz and in_page = abs mod psz in
-    let chunk = min (len - !pos) (psz - in_page) in
-    let pfn = touch_page t region ~page ~write:false buf in
-    let data = Page_cache.pfn_data t.pc pfn in
-    Bytes.blit data in_page dst !pos chunk;
-    pos := !pos + chunk
-  done;
-  Sim.Costbuf.charge buf
+  copy t region ~write:false ~off ~len dst
 
 let write ?len t region ~off ~src =
   let len = Option.value len ~default:(Bytes.length src) in
   if len > Bytes.length src then invalid_arg "Mmap_sys.write: src too small";
   if off < 0 || off + len > region.r_area.npages * psz then
     invalid_arg "Mmap_sys.write: range outside region";
-  let buf = Sim.Costbuf.create () in
-  let pos = ref 0 in
-  while !pos < len do
-    let abs = off + !pos in
-    let page = abs / psz and in_page = abs mod psz in
-    let chunk = min (len - !pos) (psz - in_page) in
-    let pfn = touch_page t region ~page ~write:true buf in
-    let data = Page_cache.pfn_data t.pc pfn in
-    Bytes.blit src !pos data in_page chunk;
-    pos := !pos + chunk
-  done;
-  Sim.Costbuf.charge buf
+  copy t region ~write:true ~off ~len src
 
-let accesses t = t.s_accesses
 let faults t = t.s_faults

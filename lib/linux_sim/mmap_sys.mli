@@ -2,11 +2,13 @@
 
     Same application surface as {!Aquila.Context} so workloads can run on
     either system unchanged: shared file-backed mappings, page-granular
-    loads/stores with real data, [msync]/[munmap].  The differences are
-    the point of the paper: faults trap from ring 3 into the kernel
-    (1287 cycles), walk the VMA tree under [mmap_sem], and go through the
-    shared {!Page_cache} with its [tree_lock]/[lru_lock] serialization and
-    128 KiB fault readahead. *)
+    loads/stores with real data, [msync]/[munmap].  A mapped hit is the
+    same hardware in both, so both run one access path ({!Hw.Mmu}: IRQ
+    drain, TLB lookup, page-table permission check, byte-range copy) and
+    differ only where the paper says they do, in the fault path: faults
+    trap from ring 3 into the kernel (1287 cycles), walk the VMA tree
+    under [mmap_sem], and go through the shared {!Page_cache} with its
+    [tree_lock]/[lru_lock] serialization and 128 KiB fault readahead. *)
 
 type config = { cache : Page_cache.config }
 
@@ -19,7 +21,6 @@ type region
 val create : ?costs:Hw.Costs.t -> ?machine:Hw.Machine.t -> config -> t
 
 val costs : t -> Hw.Costs.t
-val machine : t -> Hw.Machine.t
 val page_cache : t -> Page_cache.t
 
 val enter_thread : t -> unit
@@ -53,5 +54,4 @@ val write : ?len:int -> t -> region -> off:int -> src:Bytes.t -> unit
 (** [write t r ~off ~src] stores the first [len] bytes of [src] (default
     all of them) at region offset [off]. *)
 
-val accesses : t -> int
 val faults : t -> int

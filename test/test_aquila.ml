@@ -391,6 +391,181 @@ let data_plane_model =
                model));
       !ok)
 
+(* ---- One byte model over both mmap stacks ---- *)
+
+(* A file of [model_pages] pages mapped on either stack, seen through the
+   same operations, and a second file whose pages [press] touches to push
+   the first one out of a 16-frame cache.  The first file's page p is
+   device page p, so its device bytes can be read back directly. *)
+type mapped_file = {
+  mread : off:int -> len:int -> dst:Bytes.t -> unit;
+  mwrite : off:int -> len:int -> src:Bytes.t -> unit;
+  msync : unit -> unit;
+  remap : unit -> unit;  (* munmap, then map the file again *)
+  press : page:int -> write:bool -> unit;
+}
+
+let model_pages = 12
+let model_bytes = model_pages * psz
+let other_pages = 40
+
+let from_device base pages p = if p < pages then Some (base + p) else None
+
+(* Each of these attaches both files outside the engine and returns the
+   fiber-side half that maps them. *)
+let aquila_file dev =
+  let ctx = Aquila.Context.create (Aquila.Context.default_config ~cache_frames:16) in
+  let access = Sdevice.Access.dax_pmem (Aquila.Context.costs ctx) dev in
+  let attach name base pages =
+    Aquila.Context.attach_file ctx ~name ~access
+      ~translate:(from_device base pages) ~size_pages:pages
+  in
+  let f = attach "model" 0 model_pages
+  and o = attach "other" model_pages other_pages in
+  fun () ->
+    Aquila.Context.enter_thread ctx;
+    let r = ref (Aquila.Context.mmap ctx f ~npages:model_pages ()) in
+    let other = Aquila.Context.mmap ctx o ~npages:other_pages () in
+    {
+      mread = (fun ~off ~len ~dst -> Aquila.Context.read ctx !r ~off ~len ~dst);
+      mwrite = (fun ~off ~len ~src -> Aquila.Context.write ~len ctx !r ~off ~src);
+      msync = (fun () -> Aquila.Context.msync ctx !r);
+      remap =
+        (fun () ->
+          Aquila.Context.munmap ctx !r;
+          r := Aquila.Context.mmap ctx f ~npages:model_pages ());
+      press = (fun ~page ~write -> Aquila.Context.touch ctx other ~page ~write);
+    }
+
+let linux_file dev =
+  let cfg =
+    {
+      Linux_sim.Mmap_sys.cache =
+        { (Linux_sim.Page_cache.default_config ~frames:16) with readahead = 4 };
+    }
+  in
+  let msys = Linux_sim.Mmap_sys.create cfg in
+  let access =
+    Sdevice.Access.host_pmem (Linux_sim.Mmap_sys.costs msys)
+      ~entry:Sdevice.Access.In_kernel dev
+  in
+  let attach name base pages =
+    Linux_sim.Mmap_sys.attach_file msys ~name ~access
+      ~translate:(from_device base pages) ~size_pages:pages
+  in
+  let f = attach "model" 0 model_pages
+  and o = attach "other" model_pages other_pages in
+  fun () ->
+    Linux_sim.Mmap_sys.enter_thread msys;
+    let r = ref (Linux_sim.Mmap_sys.mmap msys f ~npages:model_pages ()) in
+    let other = Linux_sim.Mmap_sys.mmap msys o ~npages:other_pages () in
+    {
+      mread = (fun ~off ~len ~dst -> Linux_sim.Mmap_sys.read msys !r ~off ~len ~dst);
+      mwrite =
+        (fun ~off ~len ~src -> Linux_sim.Mmap_sys.write ~len msys !r ~off ~src);
+      msync = (fun () -> Linux_sim.Mmap_sys.msync msys !r);
+      remap =
+        (fun () ->
+          Linux_sim.Mmap_sys.munmap msys !r;
+          r := Linux_sim.Mmap_sys.mmap msys f ~npages:model_pages ());
+      press =
+        (fun ~page ~write -> Linux_sim.Mmap_sys.touch msys other ~page ~write);
+    }
+
+type mop =
+  | Read of int * int  (* offset, length *)
+  | Write of int * int * int  (* offset, length, pattern seed *)
+  | Msync
+  | Remap
+  | Press of int * int  (* first page, pages touched *)
+
+let print_mop = function
+  | Read (off, len) -> Printf.sprintf "read %d+%d" off len
+  | Write (off, len, seed) -> Printf.sprintf "write %d+%d/%d" off len seed
+  | Msync -> "msync"
+  | Remap -> "remap"
+  | Press (p, n) -> Printf.sprintf "press %d+%d" p n
+
+(* Byte ranges of up to three pages at any offset, a quarter of them
+   ending on the mapping's last byte. *)
+let gen_mop =
+  let open QCheck.Gen in
+  let range =
+    frequency
+      [
+        ( 3,
+          int_bound (model_bytes - 1) >>= fun off ->
+          int_bound (min (model_bytes - off) (3 * psz)) >|= fun len -> (off, len) );
+        (1, int_range 1 (3 * psz) >|= fun len -> (model_bytes - len, len));
+      ]
+  in
+  frequency
+    [
+      (4, range >|= fun (off, len) -> Read (off, len));
+      ( 4,
+        pair range (int_bound 255) >|= fun ((off, len), seed) ->
+        Write (off, len, seed) );
+      (2, return Msync);
+      (1, return Remap);
+      ( 1,
+        pair (int_bound (other_pages - 1)) (int_range 1 other_pages) >|= fun (p, n) ->
+        Press (p, n) );
+    ]
+
+(* Runs [ops] on one stack: every read must return the model's bytes,
+   after every msync the device must hold the model, and a final read of
+   the whole mapping must too. *)
+let matches_model build ops =
+  let dev =
+    Sdevice.Pmem.create
+      ~capacity_bytes:(Int64.of_int ((model_pages + other_pages) * psz))
+      ()
+  in
+  let map = build dev in
+  let model = Bytes.make model_bytes '\000' in
+  let ok = ref true in
+  let expect got off =
+    if not (Bytes.equal got (Bytes.sub model off (Bytes.length got))) then
+      ok := false
+  in
+  ignore
+    (in_sim (fun () ->
+         let m = map () in
+         List.iter
+           (function
+             | Read (off, len) ->
+                 let dst = Bytes.create len in
+                 m.mread ~off ~len ~dst;
+                 expect dst off
+             | Write (off, len, seed) ->
+                 let src =
+                   Bytes.init len (fun i -> Char.chr ((seed + (i * 7)) land 255))
+                 in
+                 m.mwrite ~off ~len ~src;
+                 Bytes.blit src 0 model off len
+             | Msync ->
+                 m.msync ();
+                 let dst = Bytes.create model_bytes in
+                 Sdevice.Pagestore.read_bytes (Sdevice.Pmem.store dev) ~addr:0L
+                   ~len:model_bytes ~dst ~dst_off:0;
+                 expect dst 0
+             | Remap -> m.remap ()
+             | Press (p, n) ->
+                 for i = 0 to n - 1 do
+                   m.press ~page:((p + i) mod other_pages) ~write:(i land 1 = 1)
+                 done)
+           ops;
+         let dst = Bytes.create model_bytes in
+         m.mread ~off:0 ~len:model_bytes ~dst;
+         expect dst 0));
+  !ok
+
+let both_stacks_model =
+  QCheck.Test.make ~name:"both mmap stacks match a byte model" ~count:200
+    (QCheck.make ~print:QCheck.Print.(list print_mop) ~shrink:QCheck.Shrink.list
+       QCheck.Gen.(list_size (int_range 1 40) gen_mop))
+    (fun ops -> matches_model aquila_file ops && matches_model linux_file ops)
+
 let concurrent_torture () =
   (* 8 threads hammer a 200-page file through a 24-frame cache with mixed
      reads/writes to disjoint per-thread byte slots; every thread verifies
@@ -503,6 +678,7 @@ let () =
           Alcotest.test_case "mprotect" `Quick mprotect_write_protects;
           Alcotest.test_case "mremap" `Quick mremap_grows_without_copies;
           QCheck_alcotest.to_alcotest data_plane_model;
+          QCheck_alcotest.to_alcotest both_stacks_model;
           Alcotest.test_case "concurrent torture" `Quick concurrent_torture;
           Alcotest.test_case "determinism" `Quick simulation_is_deterministic;
         ] );

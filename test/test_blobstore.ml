@@ -31,17 +31,6 @@ let translation_unique () =
       done)
     [ b1; b2 ]
 
-let resize_grow_shrink () =
-  let s = mk () in
-  let b = Blobstore.Store.create_blob s ~pages:64 () in
-  let dev0 = Blobstore.Store.device_page b 0 in
-  Blobstore.Store.resize s b ~pages:200;
-  checki "grown" 200 (Blobstore.Store.blob_pages b);
-  checki "page 0 stable across grow" dev0 (Blobstore.Store.device_page b 0);
-  Blobstore.Store.resize s b ~pages:64;
-  checki "shrunk" 64 (Blobstore.Store.blob_pages b);
-  checki "clusters returned" (4096 - 64) (Blobstore.Store.free_pages s)
-
 let delete_frees () =
   let s = mk () in
   let b = Blobstore.Store.create_blob s ~pages:128 () in
@@ -56,13 +45,6 @@ let out_of_space () =
   let s = mk () in
   Alcotest.check_raises "full" (Failure "Blobstore: out of space") (fun () ->
       ignore (Blobstore.Store.create_blob s ~pages:5000 ()))
-
-let xattrs () =
-  let s = mk () in
-  let b = Blobstore.Store.create_blob s ~pages:64 () in
-  Alcotest.(check (option string)) "absent" None (Blobstore.Store.get_xattr b "k");
-  Blobstore.Store.set_xattr b "k" "v";
-  Alcotest.(check (option string)) "present" (Some "v") (Blobstore.Store.get_xattr b "k")
 
 let contiguous_runs () =
   let s = mk () in
@@ -104,10 +86,8 @@ let () =
         [
           Alcotest.test_case "create and translate" `Quick create_and_translate;
           Alcotest.test_case "unique translation" `Quick translation_unique;
-          Alcotest.test_case "resize" `Quick resize_grow_shrink;
           Alcotest.test_case "delete frees" `Quick delete_frees;
           Alcotest.test_case "out of space" `Quick out_of_space;
-          Alcotest.test_case "xattrs" `Quick xattrs;
           Alcotest.test_case "contiguous runs" `Quick contiguous_runs;
           QCheck_alcotest.to_alcotest alloc_reuse_prop;
         ] );
