@@ -233,9 +233,11 @@ let read_page t ~page ~dst = read_pages t ~page ~count:1 ~dst
 let write_page t ~page ~src = write_pages t ~page ~count:1 ~src
 
 (* Sorted, merged write-back (Section 3.2; the Linux page cache merges the
-   same way).  Every page is translated before the first write, so a
-   translation cost the caller charges in [dev] lands before the I/O; each
-   run's bytes are staged only when its write is issued. *)
+   same way).  Every page is translated and every run's bytes staged before
+   the first write, so a translation cost the caller charges in [dev] lands
+   before the I/O, and a frame the caller has already marked clean can be
+   reused by an eviction during an earlier run's write without the later
+   run sending its new bytes to the device. *)
 let write_merged staging ~merge ~cat ~key ~file ~dev ~access ~data ~written
     items =
   let t0 = Sim.Probe.span_start () in
@@ -266,18 +268,24 @@ let write_merged staging ~merge ~cat ~key ~file ~dev ~access ~data ~written
           end)
     sorted;
   close ();
-  let write (f, page, count, run) =
-    Bufpool.with_pages staging count (fun src ->
-        List.iteri (fun i x -> Bytes.blit (data x) 0 src (i * psz) psz) run;
-        match write_pages_result (access f) ~page ~count ~src with
-        | Ok () ->
-            written count;
-            []
-        | Error e ->
-            if Trace.on () then Sim.Probe.instant ~cat:"fault" "wb_error";
-            List.map (fun x -> (x, e)) run)
+  let write ((f, page, count, run), src) =
+    match write_pages_result (access f) ~page ~count ~src with
+    | Ok () ->
+        written count;
+        []
+    | Error e ->
+        if Trace.on () then Sim.Probe.instant ~cat:"fault" "wb_error";
+        List.map (fun x -> (x, e)) run
   in
-  let failed = List.concat_map write (List.rev !runs) in
+  (* each run holds its own pooled buffer until every write has returned *)
+  let rec stage staged = function
+    | [] -> List.concat_map write (List.rev staged)
+    | ((_, _, count, run) as r) :: rest ->
+        Bufpool.with_pages staging count (fun src ->
+            List.iteri (fun i x -> Bytes.blit (data x) 0 src (i * psz) psz) run;
+            stage ((r, src) :: staged) rest)
+  in
+  let failed = stage [] (List.rev !runs) in
   if items <> [] then
     Sim.Probe.span_since ~cat ~value:(Int64.of_int (List.length items)) ~t0
       "writeback";

@@ -88,9 +88,9 @@ val write_merged :
     ~written items] is the write-back both page caches use.  It sorts
     [items] by [key], skips those whose [dev] (device page) is [None],
     and splits the rest into runs of at most [merge] device-contiguous
-    pages of one [file].  Each run's [data] pages are staged in a
-    [staging] buffer and written to [access file] by
-    {!write_pages_result}; [written count] follows every run that reached
-    the device.  Returns the items of the failed runs with their final
+    pages of one [file].  Every run's [data] pages are staged in a
+    [staging] buffer of its own before the first write, then each run is
+    written to [access file] by {!write_pages_result}; [written count]
+    follows every run that reached the device.  Returns the items of the failed runs with their final
     error, in key order.  Suspends; a non-empty call is one "writeback"
     span of category [cat]. *)

@@ -473,6 +473,57 @@ let merged_writeback_failed_run () =
       | _ -> ())
     items
 
+(* An msync of two runs of file 1 over host NVMe: while the first run's
+   write is at the device, a fault of another fiber finds no free frame,
+   evicts frames the msync has already marked clean, and reads pages of
+   file 2 (on pmem) into them.  The second run must still write the
+   bytes the msync was asked to save. *)
+let merged_writeback_outlives_eviction () =
+  let dev = nvme_with_pages 256 in
+  let pmem = Sdevice.Pmem.create ~capacity_bytes:(Int64.of_int (64 * psz)) () in
+  let frames = 8 in
+  let pt = Hw.Page_table.create () in
+  let cache =
+    Mcache.Dram_cache.create ~costs:c ~machine:(Hw.Machine.create ()) ~page_table:pt
+      (Mcache.Dram_cache.default_config ~frames)
+  in
+  (* file 1's pages 0-3 are device pages 100-103 and 4-7 are 200-203 *)
+  let dev_of p = if p < 4 then 100 + p else 196 + p in
+  let nvme = Sdevice.Access.host_nvme c ~entry:Sdevice.Access.In_kernel dev in
+  Mcache.Dram_cache.register_file cache ~file_id:1 ~access:nvme
+    ~translate:(fun p -> if p < frames then Some (dev_of p) else None);
+  Mcache.Dram_cache.register_file cache ~file_id:2
+    ~access:(Sdevice.Access.dax_pmem c pmem)
+    ~translate:(fun p -> if p < 64 then Some p else None);
+  let map ~write ~core f p =
+    let vpn = (1000 * f) + p in
+    Mcache.Dram_cache.fault cache ~core ~key:(Mcache.Pagekey.make ~file:f ~page:p) ~vpn ~write ();
+    Mcache.Dram_cache.pfn_data cache (Option.get (Hw.Page_table.find pt ~vpn)).Hw.Page_table.pfn
+  in
+  let syncing = Sim.Sync.Ivar.create () in
+  let evicted_during = ref 0 in
+  run_fibers
+    [
+      (fun core ->
+        for p = 0 to frames - 1 do
+          Bytes.blit (frame_bytes (dev_of p)) 0 (map ~write:true ~core 1 p) 0 psz
+        done;
+        Sim.Sync.Ivar.fill syncing ();
+        Mcache.Dram_cache.msync cache ~core ();
+        evicted_during := Mcache.Dram_cache.evictions cache);
+      (fun core ->
+        Sim.Sync.Ivar.read syncing;
+        for p = 0 to frames - 1 do
+          ignore (map ~write:false ~core 2 p)
+        done);
+    ];
+  checki "one write-back per run" 2 (Mcache.Dram_cache.writeback_ios cache);
+  checki "every frame evicted before the msync returned" frames !evicted_during;
+  for p = 0 to frames - 1 do
+    let d = dev_of p in
+    check_page (Printf.sprintf "device page %d" d) (frame_bytes d) (device_page nvme d)
+  done
+
 let () =
   Alcotest.run "sdevice"
     [
@@ -516,5 +567,7 @@ let () =
         [
           Alcotest.test_case "run splits" `Quick merged_writeback_runs;
           Alcotest.test_case "failed run only" `Quick merged_writeback_failed_run;
+          Alcotest.test_case "an eviction during the write-back" `Quick
+            merged_writeback_outlives_eviction;
         ] );
     ]
