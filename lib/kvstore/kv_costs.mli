@@ -23,7 +23,8 @@ val get_base : int64
 val put_base : int64
 
 val scan_next : int64
-(** Per returned record during range scans. *)
+(** Per returned record during range scans, and per record a flush or a
+    compaction moves through its merge. *)
 
 val btree_node_search : int64
 (** Kreon per-node binary-search compute. *)

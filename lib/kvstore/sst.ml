@@ -76,25 +76,33 @@ let build env ~name records =
         f b)
   in
   let write page0 pages b = Env.write file ~off:(page0 * psz) ~len:(pages * psz) ~src:b in
-  zeroed ndata (fun data ->
-      zeroed nindex (fun index ->
-          let ipos = ref 0 in
-          ignore
-            (pack records (fun block pos k v ->
-                 if pos = 0 then begin
-                   put_entry index !ipos k block;
-                   ipos := !ipos + header + String.length k
-                 end;
-                 let at = (block * psz) + pos in
-                 put_entry data at k (String.length v);
-                 Bytes.blit_string v 0 data (at + header + String.length k)
-                   (String.length v)));
-          write 0 ndata data;
-          write ndata nindex index));
-  zeroed nbloom (fun b ->
-      Bytes.blit filter 0 b 0 (Bytes.length filter);
-      write (ndata + nindex) nbloom b);
-  Env.sync file;
+  let write_areas () =
+    zeroed ndata (fun data ->
+        zeroed nindex (fun index ->
+            let ipos = ref 0 in
+            ignore
+              (pack records (fun block pos k v ->
+                   if pos = 0 then begin
+                     put_entry index !ipos k block;
+                     ipos := !ipos + header + String.length k
+                   end;
+                   let at = (block * psz) + pos in
+                   put_entry data at k (String.length v);
+                   Bytes.blit_string v 0 data (at + header + String.length k)
+                     (String.length v)));
+            write 0 ndata data;
+            write ndata nindex index));
+    zeroed nbloom (fun b ->
+        Bytes.blit filter 0 b 0 (Bytes.length filter);
+        write (ndata + nindex) nbloom b);
+    Env.sync file
+  in
+  (* a build that fails deletes its file *)
+  (match write_areas () with
+  | () -> ()
+  | exception e ->
+      Env.delete file;
+      raise e);
   {
     file;
     staging;

@@ -24,7 +24,8 @@ val check_record : string -> string -> unit
 val build : Env.t -> name:string -> (string * string) list -> t
 (** [build env ~name records] writes a new SST from ascending-key,
     duplicate-free [records], each accepted by {!check_record} (checked
-    before anything is written).  Must run inside a fiber. *)
+    before anything is written).  Must run inside a fiber.  If a write
+    raises, the file is deleted before the exception propagates. *)
 
 val first_key : t -> string
 val last_key : t -> string
