@@ -107,6 +107,140 @@ let dirty_idempotent_add () =
   ignore (Mcache.Dirty_set.add ds ~core:0 ~key:k ~frame:0);
   checki "counted once" 1 (Mcache.Dirty_set.total ds)
 
+(* Random adds, removes and drains over three cores against a list model.
+   A key is dirty on one core at a time, as a cache frame is, so an add of
+   a key that another core holds is skipped.  Every cost is [rb_op] times
+   the depth of a balanced tree of the core's size before the operation:
+   1 below size 2, else floor(log2 size) + 1; a drain pays that for each
+   entry it takes, one at a time.  Entries past [limit] go back to core 0,
+   which the final per-core removals check. *)
+type dirty_op =
+  | D_add of int * Mcache.Pagekey.t * int
+  | D_remove of int * Mcache.Pagekey.t
+  | D_drain of int option * int option
+
+let dirty_set_matches_model =
+  let cores = 3 in
+  let key_gen =
+    QCheck.Gen.(
+      map2
+        (fun file page -> Mcache.Pagekey.make ~file ~page)
+        (int_range 1 2) (int_bound 15))
+  in
+  let op_gen =
+    QCheck.Gen.(
+      frequency
+        [
+          ( 5,
+            map3
+              (fun core k f -> D_add (core, k, f))
+              (int_bound (cores - 1))
+              key_gen (int_bound 99) );
+          (2, map2 (fun core k -> D_remove (core, k)) (int_bound (cores - 1)) key_gen);
+          ( 1,
+            map2
+              (fun file limit -> D_drain (file, limit))
+              (opt (int_range 1 2))
+              (opt (int_bound 8)) );
+        ])
+  in
+  let key_s k =
+    Printf.sprintf "%d:%d" (Mcache.Pagekey.file_of k) (Mcache.Pagekey.page_of k)
+  in
+  let opt_s = function None -> "-" | Some n -> string_of_int n in
+  let print_op = function
+    | D_add (core, k, f) -> Printf.sprintf "add %d %s %d" core (key_s k) f
+    | D_remove (core, k) -> Printf.sprintf "remove %d %s" core (key_s k)
+    | D_drain (file, limit) ->
+        Printf.sprintf "drain file %s limit %s" (opt_s file) (opt_s limit)
+  in
+  let cost size =
+    let rec depth acc n = if n < 2 then acc else depth (acc + 1) (n / 2) in
+    Int64.mul c.Hw.Costs.rb_op (Int64.of_int (depth 1 size))
+  in
+  QCheck.Test.make ~name:"dirty set matches a list model" ~count:300
+    (QCheck.make
+       ~print:(fun ops -> String.concat "; " (List.map print_op ops))
+       QCheck.Gen.(list_size (int_range 1 80) op_gen))
+    (fun ops ->
+      let ds = Mcache.Dirty_set.create c ~cores in
+      let model = Array.make cores [] in
+      let check_cost what got expect =
+        if got <> expect then
+          QCheck.Test.fail_reportf "%s cost %Ld, expected %Ld" what got expect
+      in
+      let check_total () =
+        let size = Array.fold_left (fun acc l -> acc + List.length l) 0 model in
+        if Mcache.Dirty_set.total ds <> size then
+          QCheck.Test.fail_reportf "total %d, model %d" (Mcache.Dirty_set.total ds) size
+      in
+      List.iter
+        (fun op ->
+          (match op with
+          | D_add (core, k, f) ->
+              let elsewhere = ref false in
+              Array.iteri
+                (fun c' l -> if c' <> core && List.mem_assoc k l then elsewhere := true)
+                model;
+              if not !elsewhere then begin
+                check_cost (print_op op)
+                  (Mcache.Dirty_set.add ds ~core ~key:k ~frame:f)
+                  (cost (List.length model.(core)));
+                model.(core) <- (k, f) :: List.remove_assoc k model.(core)
+              end
+          | D_remove (core, k) ->
+              check_cost (print_op op)
+                (Mcache.Dirty_set.remove ds ~core ~key:k)
+                (cost (List.length model.(core)));
+              model.(core) <- List.remove_assoc k model.(core)
+          | D_drain (file, limit) ->
+              let keep (k, _) =
+                match file with None -> true | Some f -> Mcache.Pagekey.file_of k = f
+              in
+              let expect_cost = ref 0L and taken = ref [] in
+              Array.iteri
+                (fun core l ->
+                  let mine, rest = List.partition keep l in
+                  List.iteri
+                    (fun i _ ->
+                      expect_cost := Int64.add !expect_cost (cost (List.length l - i)))
+                    mine;
+                  taken := mine @ !taken;
+                  model.(core) <- rest)
+                model;
+              let sorted = List.sort compare !taken in
+              let n = Option.value limit ~default:max_int in
+              let expect = List.filteri (fun i _ -> i < n) sorted in
+              model.(0) <- List.filteri (fun i _ -> i >= n) sorted @ model.(0);
+              let got, got_cost = Mcache.Dirty_set.drain_sorted ds ?file ?limit () in
+              let rec ascending = function
+                | (a, _) :: ((b, _) :: _ as tl) -> a < b && ascending tl
+                | _ -> true
+              in
+              if not (ascending got) then
+                QCheck.Test.fail_reportf "%s: keys not ascending" (print_op op);
+              if got <> expect then
+                QCheck.Test.fail_reportf "%s: drained %d entries, expected %d"
+                  (print_op op) (List.length got) (List.length expect);
+              check_cost (print_op op) got_cost !expect_cost);
+          check_total ())
+        ops;
+      (* each model entry is on the core the model says: removing it there
+         finds it *)
+      Array.iteri
+        (fun core l ->
+          List.iteri
+            (fun i (k, _) ->
+              let before = Mcache.Dirty_set.total ds in
+              check_cost "final remove"
+                (Mcache.Dirty_set.remove ds ~core ~key:k)
+                (cost (List.length l - i));
+              if Mcache.Dirty_set.total ds <> before - 1 then
+                QCheck.Test.fail_reportf "%s not on core %d" (key_s k) core)
+            l)
+        model;
+      Mcache.Dirty_set.total ds = 0)
+
 (* ---- Dram cache ---- *)
 
 type rig = {
@@ -769,6 +903,7 @@ let () =
           Alcotest.test_case "sorted drain" `Quick dirty_sorted_drain;
           Alcotest.test_case "filter and limit" `Quick dirty_file_filter_and_limit;
           Alcotest.test_case "idempotent add" `Quick dirty_idempotent_add;
+          QCheck_alcotest.to_alcotest dirty_set_matches_model;
         ] );
       ( "dram cache",
         [
