@@ -51,23 +51,4 @@ let () =
   report "heap over Aquila" a;
   let t (ms, _, _) = ms in
   Printf.printf "Aquila vs mmap: %.2fx faster; slowdown vs DRAM: %.2fx\n"
-    (t l /. t a) (t a /. t d);
-  (* the other Ligra kernels run over the same surfaces unchanged *)
-  let g = Ligra.Rmat.generate ~seed:3 ~n ~m () in
-  let eng = Sim.Engine.create () in
-  let surf = ref None in
-  ignore (Sim.Engine.spawn eng ~core:0 (fun () -> surf := Some (aquila ())));
-  Sim.Engine.run eng;
-  let pr = Ligra.Pagerank.run ~eng ~graph:g ~surface:(Option.get !surf) ~threads () in
-  Printf.printf "PageRank over Aquila: %d iterations in %.2f ms (top vertex %d)\n"
-    pr.Ligra.Pagerank.iterations
-    (Int64.to_float pr.Ligra.Pagerank.elapsed_cycles /. 2.4e6)
-    pr.Ligra.Pagerank.top_vertex;
-  let eng2 = Sim.Engine.create () in
-  let surf2 = ref None in
-  ignore (Sim.Engine.spawn eng2 ~core:0 (fun () -> surf2 := Some (aquila ())));
-  Sim.Engine.run eng2;
-  let cc = Ligra.Components.run ~eng:eng2 ~graph:g ~surface:(Option.get !surf2) ~threads () in
-  Printf.printf "Connected components over Aquila: %d components (largest %d) in %.2f ms\n"
-    cc.Ligra.Components.components cc.Ligra.Components.largest
-    (Int64.to_float cc.Ligra.Components.elapsed_cycles /. 2.4e6)
+    (t l /. t a) (t a /. t d)

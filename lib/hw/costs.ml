@@ -71,6 +71,10 @@ let default =
    window of this width past the global minimum next-event time. *)
 let min_cross_shard_latency c = Int64.add c.ipi_send_posted c.ipi_receive
 
+let rb_depth n =
+  let rec go acc n = if n < 2 then acc else go (acc + 1) (n / 2) in
+  go 1 n
+
 let memcpy_4k c ~simd =
   if simd then Int64.add c.memcpy_4k_avx2 c.fpu_save_restore
   else c.memcpy_4k_scalar

@@ -72,6 +72,12 @@ val min_cross_shard_latency : t -> int64
     whose only cross-shard traffic is coarser (e.g. NVMe completions,
     [setup_cycles] >= 2400) may declare a larger lookahead. *)
 
+val rb_depth : int -> int
+(** [rb_depth n] is the node visits of one descent into a balanced
+    red-black tree of [n] entries: floor(log2 n) + 1, and 1 below two
+    entries.  Aquila's dirty-page trees and the Linux VMA tree are
+    charged per visit from their size alone. *)
+
 val memcpy_4k : t -> simd:bool -> int64
 (** [memcpy_4k c ~simd] is the cost of one 4 KiB copy.  With [simd] the
     AVX2 streaming cost applies {e plus} the FPU save/restore that a fault

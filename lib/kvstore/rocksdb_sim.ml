@@ -525,31 +525,6 @@ let merged_sources t levels ~start =
   in
   Kv_iter.merge (mem_sources @ l0_sources @ level_sources)
 
-let iterator t ~start =
-  let v = pin t in
-  let it =
-    try merged_sources t v.levels ~start
-    with e ->
-      release t v;
-      raise e
-  in
-  let pinned = ref true in
-  let unpin () =
-    if !pinned then begin
-      pinned := false;
-      release t v
-    end
-  in
-  Kv_iter.of_fun (fun () ->
-      match Kv_iter.next it with
-      | Some x -> Some x
-      | None ->
-          unpin ();
-          None
-      | exception e ->
-          unpin ();
-          raise e)
-
 let with_iterator t ~start f =
   with_version t (fun levels -> f (merged_sources t levels ~start))
 

@@ -61,12 +61,6 @@ val with_iterator : t -> start:string -> (Kv_iter.t -> 'a) -> 'a
     iterator's version stays pinned until [f] returns or raises, however
     far [f] reads; the iterator must not be used after that. *)
 
-val iterator : t -> start:string -> Kv_iter.t
-(** The iterator of {!with_iterator}, unbracketed: it pins its version
-    until it is exhausted, so one dropped before then keeps that
-    version's SSTs from ever being deleted.  A caller that may stop early
-    uses {!with_iterator}. *)
-
 val bulk_load : t -> (string * string) list -> unit
 (** [bulk_load t records] builds bottom-level SSTs directly from
     ascending-key, duplicate-free [records] (the YCSB load phase).  Every

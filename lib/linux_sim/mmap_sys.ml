@@ -1,7 +1,6 @@
 let psz = Hw.Defs.page_size
 
 module Pagekey = Mcache.Pagekey
-module Vtree = Dstruct.Rbtree.Make (Int)
 
 type config = { cache : Page_cache.config }
 
@@ -23,7 +22,7 @@ type t = {
   lmachine : Hw.Machine.t;
   pt : Hw.Page_table.t;
   pc : Page_cache.t;
-  vmas : area Vtree.t;
+  vmas : (int, area) Hashtbl.t; (* by [vstart]; only its size sets a cost *)
   mmap_sem : Sim.Sync.Mutex.t; (* held for updates; read side is a constant *)
   mutable next_vpn : int;
   mutable next_fid : int;
@@ -39,7 +38,7 @@ let create ?(costs = Hw.Costs.default) ?machine cfg =
     lmachine = machine;
     pt;
     pc = Page_cache.create ~costs ~machine ~page_table:pt cfg.cache;
-    vmas = Vtree.create ();
+    vmas = Hashtbl.create 16;
     mmap_sem = Sim.Sync.Mutex.create ~name:"mmap_sem" ();
     next_vpn = 256;
     next_fid = 1;
@@ -76,7 +75,7 @@ let mmap t file ?(file_page0 = 0) ~npages () =
   let vstart = t.next_vpn in
   t.next_vpn <- t.next_vpn + npages + 1;
   let area = { vstart; npages; afile = file; file_page0 } in
-  ignore (Vtree.insert t.vmas vstart area);
+  Hashtbl.replace t.vmas vstart area;
   delay_sys ~label:"vma" t.lcosts.Hw.Costs.vma_lookup;
   Sim.Sync.Mutex.unlock t.mmap_sem;
   { r_area = area }
@@ -84,7 +83,7 @@ let mmap t file ?(file_page0 = 0) ~npages () =
 let munmap t region =
   delay_sys ~label:"syscall" t.lcosts.Hw.Costs.syscall;
   Sim.Sync.Mutex.lock t.mmap_sem;
-  ignore (Vtree.remove t.vmas region.r_area.vstart);
+  Hashtbl.remove t.vmas region.r_area.vstart;
   delay_sys ~label:"vma" t.lcosts.Hw.Costs.vma_lookup;
   Sim.Sync.Mutex.unlock t.mmap_sem;
   (* tear down PTEs; pages stay in the page cache *)
@@ -111,9 +110,9 @@ let msync t region =
 let region_npages r = r.r_area.npages
 
 (* VMA lookup under mmap_sem (read side modelled as a constant plus the
-   red-black walk; write-side updates take the mutex). *)
+   red-black walk of the VMA count; write-side updates take the mutex). *)
 let vma_lookup_cost t =
-  let d = max 1 (Vtree.depth_estimate t.vmas) in
+  let d = Hw.Costs.rb_depth (Hashtbl.length t.vmas) in
   Int64.add 120L (Int64.mul t.lcosts.Hw.Costs.vma_lookup (Int64.of_int (max 1 (d / 4))))
 
 (* One page-granular access: the shared hardware path, and on a miss the

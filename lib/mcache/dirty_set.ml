@@ -1,28 +1,42 @@
-module Itree = Dstruct.Rbtree.Make (Int)
+module Imap = Map.Make (Int)
 
-type t = { costs : Hw.Costs.t; trees : int Itree.t array; mutable count : int }
+(* One core's dirty pages and their count; only the count sets a cost. *)
+type tree = { mutable map : int Imap.t; mutable size : int }
+type t = { costs : Hw.Costs.t; trees : tree array; mutable count : int }
 
 let create costs ~cores =
   if cores <= 0 then invalid_arg "Dirty_set.create";
-  { costs; trees = Array.init cores (fun _ -> Itree.create ()); count = 0 }
+  {
+    costs;
+    trees = Array.init cores (fun _ -> { map = Imap.empty; size = 0 });
+    count = 0;
+  }
 
 let op_cost t tree =
-  Int64.mul t.costs.Hw.Costs.rb_op (Int64.of_int (max 1 (Itree.depth_estimate tree)))
+  Int64.mul t.costs.Hw.Costs.rb_op (Int64.of_int (Hw.Costs.rb_depth tree.size))
+
+let insert t tree key frame =
+  if not (Imap.mem key tree.map) then begin
+    tree.size <- tree.size + 1;
+    t.count <- t.count + 1
+  end;
+  tree.map <- Imap.add key frame tree.map
 
 let add t ~core ~key ~frame =
   let tree = t.trees.(core) in
   let cost = op_cost t tree in
-  (match Itree.insert tree key frame with
-  | None -> t.count <- t.count + 1
-  | Some _ -> ());
+  insert t tree key frame;
   cost
 
 let remove t ~core ~key =
   let tree = t.trees.(core) in
   let cost = op_cost t tree in
-  (match Itree.remove tree key with
-  | Some _ -> t.count <- t.count - 1
-  | None -> ());
+  let map = Imap.remove key tree.map in
+  if map != tree.map then begin
+    tree.map <- map;
+    tree.size <- tree.size - 1;
+    t.count <- t.count - 1
+  end;
   cost
 
 let total t = t.count
@@ -33,15 +47,16 @@ let drain_sorted t ?file ?limit () =
   let all = ref [] in
   Array.iter
     (fun tree ->
-      let taken = ref [] in
-      Itree.iter (fun k f -> if keep k then taken := (k, f) :: !taken) tree;
-      List.iter
-        (fun (k, _) ->
+      let taken, rest = Imap.partition (fun k _ -> keep k) tree.map in
+      tree.map <- rest;
+      (* one removal per entry, each charged at the size before it *)
+      Imap.iter
+        (fun k f ->
           cost := Int64.add !cost (op_cost t tree);
-          ignore (Itree.remove tree k);
-          t.count <- t.count - 1)
-        !taken;
-      all := !taken @ !all)
+          tree.size <- tree.size - 1;
+          t.count <- t.count - 1;
+          all := (k, f) :: !all)
+        taken)
     t.trees;
   let sorted = List.sort (fun (a, _) (b, _) -> Int.compare a b) !all in
   let sorted =
@@ -55,14 +70,8 @@ let drain_sorted t ?file ?limit () =
           | rest -> (List.rev acc, rest)
         in
         let take, back = split 0 [] sorted in
-        List.iter
-          (fun (k, f) ->
-            (* return overflow entries to core 0's tree *)
-            ignore (Itree.insert t.trees.(0) k f);
-            t.count <- t.count + 1)
-          back;
+        (* return overflow entries to core 0 *)
+        List.iter (fun (k, f) -> insert t t.trees.(0) k f) back;
         take
   in
   (sorted, !cost)
-
-let mem t ~key ~core = Option.is_some (Itree.find t.trees.(core) key)

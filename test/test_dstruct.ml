@@ -1,71 +1,8 @@
 (* Tests for the core data structures (lib/dstruct). *)
 
-module Irb = Dstruct.Rbtree.Make (Int)
 module Imap = Map.Make (Int)
 
 let checki = Alcotest.(check int)
-
-(* ---- Red-black tree ---- *)
-
-let rb_basic () =
-  let t = Irb.create () in
-  Alcotest.(check bool) "empty" true (Irb.is_empty t);
-  Alcotest.(check bool) "insert fresh" true (Irb.insert t 5 "five" = None);
-  Alcotest.(check (option string)) "replace" (Some "five") (Irb.insert t 5 "FIVE");
-  Alcotest.(check (option string)) "find" (Some "FIVE") (Irb.find t 5);
-  Alcotest.(check (option string)) "miss" None (Irb.find t 6);
-  checki "length" 1 (Irb.length t);
-  Alcotest.(check (option string)) "remove" (Some "FIVE") (Irb.remove t 5);
-  Alcotest.(check bool) "empty again" true (Irb.is_empty t)
-
-let rb_inorder () =
-  let t = Irb.create () in
-  List.iter (fun k -> ignore (Irb.insert t k k)) [ 5; 1; 9; 3; 7; 2; 8 ];
-  Alcotest.(check (list int)) "sorted" [ 1; 2; 3; 5; 7; 8; 9 ]
-    (List.map fst (Irb.to_list t));
-  Alcotest.(check (option (pair int int))) "min" (Some (1, 1)) (Irb.min_binding t);
-  Alcotest.(check (option (pair int int))) "pop min" (Some (1, 1)) (Irb.pop_min t);
-  Alcotest.(check (option (pair int int))) "next min" (Some (2, 2)) (Irb.min_binding t);
-  Alcotest.(check (option (pair int int))) "find_ge exact" (Some (5, 5)) (Irb.find_ge t 5);
-  Alcotest.(check (option (pair int int))) "find_ge between" (Some (7, 7)) (Irb.find_ge t 6);
-  Alcotest.(check (option (pair int int))) "find_ge beyond" None (Irb.find_ge t 10)
-
-let rb_model =
-  QCheck.Test.make ~name:"rbtree matches Map under random ops" ~count:200
-    QCheck.(list (pair (int_bound 200) bool))
-    (fun ops ->
-      let t = Irb.create () in
-      let m = ref Imap.empty in
-      List.iter
-        (fun (k, ins) ->
-          if ins then begin
-            ignore (Irb.insert t k (k * 2));
-            m := Imap.add k (k * 2) !m
-          end
-          else begin
-            ignore (Irb.remove t k);
-            m := Imap.remove k !m
-          end)
-        ops;
-      (match Irb.check_invariants t with
-      | Ok () -> ()
-      | Error e -> QCheck.Test.fail_reportf "invariant: %s" e);
-      Irb.to_list t = Imap.bindings !m)
-
-let rb_invariants_large () =
-  let t = Irb.create () in
-  let r = Sim.Rng.create 11 in
-  for _ = 1 to 5000 do
-    ignore (Irb.insert t (Sim.Rng.int r 2000) 0)
-  done;
-  for _ = 1 to 3000 do
-    ignore (Irb.remove t (Sim.Rng.int r 2000))
-  done;
-  (match Irb.check_invariants t with
-  | Ok () -> ()
-  | Error e -> Alcotest.fail e);
-  Alcotest.(check bool) "balanced depth" true
-    (Irb.depth_estimate t <= 2 * 11 (* 2*log2(2000) *))
 
 (* ---- Radix tree ---- *)
 
@@ -107,20 +44,6 @@ let radix_model =
       && Dstruct.Radix_tree.fold (fun k v acc -> (k, v) :: acc) t [] |> List.rev
          = Imap.bindings !m
       && Dstruct.Radix_tree.find t probe = Imap.find_opt probe !m)
-
-(* ---- Lock-free hash ---- *)
-
-let hash_ops () =
-  let t = Dstruct.Lockfree_hash.create () in
-  Alcotest.(check bool) "try_insert wins" true (Dstruct.Lockfree_hash.try_insert t 1 "a");
-  Alcotest.(check bool) "try_insert loses" false (Dstruct.Lockfree_hash.try_insert t 1 "b");
-  Alcotest.(check (option string)) "kept first" (Some "a") (Dstruct.Lockfree_hash.find t 1);
-  Alcotest.(check (option string)) "insert replaces" (Some "a")
-    (Dstruct.Lockfree_hash.insert t 1 "c");
-  Alcotest.(check (option string)) "removed" (Some "c") (Dstruct.Lockfree_hash.remove t 1);
-  checki "empty" 0 (Dstruct.Lockfree_hash.length t);
-  Alcotest.(check bool) "ops counted" true
-    (Dstruct.Lockfree_hash.lookups t > 0 && Dstruct.Lockfree_hash.updates t > 0)
 
 (* ---- Clock LRU ---- *)
 
@@ -166,20 +89,12 @@ let clock_empty_when_all_pinned () =
 let () =
   Alcotest.run "dstruct"
     [
-      ( "rbtree",
-        [
-          Alcotest.test_case "basic" `Quick rb_basic;
-          Alcotest.test_case "in-order" `Quick rb_inorder;
-          Alcotest.test_case "invariants large" `Quick rb_invariants_large;
-          QCheck_alcotest.to_alcotest rb_model;
-        ] );
       ( "radix",
         [
           Alcotest.test_case "basic" `Quick radix_basic;
           Alcotest.test_case "find_floor" `Quick radix_floor;
           QCheck_alcotest.to_alcotest radix_model;
         ] );
-      ("lockfree hash", [ Alcotest.test_case "ops" `Quick hash_ops ]);
       ( "clock lru",
         [
           Alcotest.test_case "prefers unreferenced" `Quick clock_prefers_unreferenced;

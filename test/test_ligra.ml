@@ -199,74 +199,6 @@ let bfs_dense_switch_runs () =
   in
   checki "all reached via hub" n r.Ligra.Bfs.visited
 
-let pagerank_conserves_mass () =
-  let g = Ligra.Rmat.generate ~seed:30 ~n:300 ~m:3000 () in
-  let eng = Sim.Engine.create () in
-  let r =
-    Ligra.Pagerank.run ~eng ~graph:g ~surface:(Ligra.Mem_surface.dram ()) ~threads:4
-      ~iterations:15 ()
-  in
-  Alcotest.(check bool)
-    (Printf.sprintf "mass ~1 (got %.4f)" r.Ligra.Pagerank.ranks_sum)
-    true
-    (abs_float (r.Ligra.Pagerank.ranks_sum -. 1.0) < 1e-6)
-
-let pagerank_finds_the_hub () =
-  (* star graph: every vertex points to vertex 0 *)
-  let n = 100 in
-  let g = Ligra.Graph.of_edge_list ~n (List.init (n - 1) (fun i -> (i + 1, 0))) in
-  let eng = Sim.Engine.create () in
-  let r =
-    Ligra.Pagerank.run ~eng ~graph:g ~surface:(Ligra.Mem_surface.dram ()) ~threads:2 ()
-  in
-  Alcotest.(check int) "hub wins" 0 r.Ligra.Pagerank.top_vertex
-
-let pagerank_same_on_mmio () =
-  let g = Ligra.Rmat.generate ~seed:31 ~n:200 ~m:1500 () in
-  let run surface_of =
-    let eng = Sim.Engine.create () in
-    let sref = ref None in
-    ignore (Sim.Engine.spawn eng ~core:0 (fun () -> sref := Some (surface_of ())));
-    Sim.Engine.run eng;
-    let r =
-      Ligra.Pagerank.run ~eng ~graph:g ~surface:(Option.get !sref) ~threads:4 ()
-    in
-    r.Ligra.Pagerank.top_vertex
-  in
-  let dram = run (fun () -> Ligra.Mem_surface.dram ()) in
-  let aq = run (fun () -> (make_aquila_surface ~heap_pages:512 ~frames:128 ()) ()) in
-  Alcotest.(check int) "same winner over mmio" dram aq
-
-let components_on_known_graph () =
-  (* two components: {0,1,2} (triangle) and {3,4} (edge); 5 isolated *)
-  let g = Ligra.Graph.of_edge_list ~n:6 [ (0, 1); (1, 2); (2, 0); (3, 4) ] in
-  let eng = Sim.Engine.create () in
-  let r =
-    Ligra.Components.run ~eng ~graph:g ~surface:(Ligra.Mem_surface.dram ()) ~threads:2 ()
-  in
-  checki "components" 3 r.Ligra.Components.components;
-  checki "largest" 3 r.Ligra.Components.largest
-
-let components_match_bfs_reachability () =
-  let g = Ligra.Rmat.generate ~seed:44 ~n:400 ~m:1200 () in
-  let eng = Sim.Engine.create () in
-  let r =
-    Ligra.Components.run ~eng ~graph:g ~surface:(Ligra.Mem_surface.dram ()) ~threads:4 ()
-  in
-  Alcotest.(check bool) "at least one component" true (r.Ligra.Components.components >= 1);
-  Alcotest.(check bool) "largest bounded by n" true (r.Ligra.Components.largest <= 400);
-  (* agree with an mmio run *)
-  let sref = ref None in
-  let eng2 = Sim.Engine.create () in
-  ignore
-    (Sim.Engine.spawn eng2 ~core:0 (fun () ->
-         sref := Some ((make_aquila_surface ~heap_pages:512 ~frames:128 ()) ())));
-  Sim.Engine.run eng2;
-  let r2 =
-    Ligra.Components.run ~eng:eng2 ~graph:g ~surface:(Option.get !sref) ~threads:4 ()
-  in
-  checki "mmio agrees" r.Ligra.Components.components r2.Ligra.Components.components
-
 let () =
   Alcotest.run "ligra"
     [
@@ -293,16 +225,5 @@ let () =
           Alcotest.test_case "surfaces agree" `Quick bfs_agrees_across_surfaces;
           Alcotest.test_case "pinned on both mmio stacks" `Quick bfs_pinned_on_mmio;
           Alcotest.test_case "dense switch" `Quick bfs_dense_switch_runs;
-        ] );
-      ( "pagerank",
-        [
-          Alcotest.test_case "mass conservation" `Quick pagerank_conserves_mass;
-          Alcotest.test_case "hub ranking" `Quick pagerank_finds_the_hub;
-          Alcotest.test_case "mmio agreement" `Quick pagerank_same_on_mmio;
-        ] );
-      ( "components",
-        [
-          Alcotest.test_case "known graph" `Quick components_on_known_graph;
-          Alcotest.test_case "mmio agreement" `Quick components_match_bfs_reachability;
         ] );
     ]
