@@ -95,7 +95,6 @@ let m_lag_key : Metrics.Registry.hcell Domain.DLS.key =
         "cluster_replication_lag")
 
 let stats t = t.stats
-let rpc_timeouts t = Rpc.timeouts t.rpc
 let rpc_retries t = Rpc.retries t.rpc
 let live_view t = Array.copy t.live
 let node t i = t.nodes.(i)

@@ -85,7 +85,6 @@ val degraded : t -> bool
     cluster-level load-shedding signal for the open-loop harness. *)
 
 val stats : t -> stats
-val rpc_timeouts : t -> int
 val rpc_retries : t -> int
 val live_view : t -> bool array
 val node : t -> int -> Node.t

@@ -4,8 +4,6 @@
 
 type syskind = Rw | Mmap | Aquila_s
 
-val sys_label : syskind -> string
-
 type meas = {
   thr : float;  (** ops/s at the simulated clock *)
   avg_lat : float;  (** mean op latency in cycles *)

@@ -1,7 +1,5 @@
 type sys = Aq of Scenario.aquila_stack | Lx of Scenario.linux_stack
 
-let sys_name = function Aq _ -> "Aquila" | Lx _ -> "Linux-mmap"
-
 type result = {
   ops : int;
   elapsed_cycles : int64;

@@ -5,8 +5,6 @@
 
 type sys = Aq of Scenario.aquila_stack | Lx of Scenario.linux_stack
 
-val sys_name : sys -> string
-
 type result = {
   ops : int;
   elapsed_cycles : int64;

@@ -222,9 +222,6 @@ let msync_all t sh ~core =
     (List.init t.nhomes (fun hid ->
          (hid, fun arena -> Mcache.Dram_cache.msync arena ~core:serve_core ())))
 
-let crash_all t = Array.iter (fun hr ->
-    match hr.arena with Some a -> Mcache.Dram_cache.crash a | None -> ()) t.homes
-
 let partition t =
   Mcache.Partition.create ~arenas:(Array.map arena_exn t.homes) ()
 

@@ -61,10 +61,6 @@ val fault_many :
 val msync_all : t -> Sim.Shard.t -> core:int -> unit
 (** Ship an msync to every home and await all replies. *)
 
-val crash_all : t -> unit
-(** Power-loss injection on every attached arena (outside the cluster:
-    call after [Sim.Shard.run] returns, or from a post at a fixed
-    virtual time). *)
 
 val partition : t -> Mcache.Partition.t
 (** The arenas as an {!Mcache.Partition} (all homes must be attached —

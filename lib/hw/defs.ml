@@ -11,4 +11,3 @@ let pages_of_bytes n =
 let cycles_per_ns = 2.4
 let ns x = Int64.of_float (x *. cycles_per_ns)
 let us x = ns (x *. 1000.)
-let cycles_to_ns c = Int64.to_float c /. cycles_per_ns

@@ -26,6 +26,3 @@ val ns : float -> int64
 
 val us : float -> int64
 (** [us x] converts microseconds to cycles. *)
-
-val cycles_to_ns : int64 -> float
-(** [cycles_to_ns c] converts cycles back to nanoseconds. *)

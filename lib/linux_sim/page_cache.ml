@@ -45,7 +45,6 @@ type t = {
   mutable s_evictions : int;
   mutable s_read_ios : int;
   mutable s_wb_ios : int;
-  mutable s_wb_errors : int;
   mutable s_sigbus : int;
   m_hits : Metrics.Registry.cell;
   m_misses : Metrics.Registry.cell;
@@ -80,7 +79,6 @@ let create ~costs ~machine ~page_table cfg =
       s_evictions = 0;
       s_read_ios = 0;
       s_wb_ios = 0;
-      s_wb_errors = 0;
       s_sigbus = 0;
       m_hits =
         Metrics.Registry.counter ~help:"Linux page-cache hits"
@@ -163,7 +161,6 @@ let write_back t pairs =
             Metrics.Registry.incr t.m_wb_ios)
           pairs
       in
-      t.s_wb_errors <- t.s_wb_errors + List.length failed;
       failed
 
 (* Write-protect [pairs] so later stores re-tag them, shoot the writable
@@ -606,7 +603,6 @@ let misses t = t.s_misses
 let evictions t = t.s_evictions
 let read_ios t = t.s_read_ios
 let writeback_ios t = t.s_wb_ios
-let writeback_errors t = t.s_wb_errors
 let sigbus_count t = t.s_sigbus
 
 let tree_lock_contended t =
@@ -614,6 +610,5 @@ let tree_lock_contended t =
     (fun _ m acc -> Int64.add acc (Sim.Sync.Mutex.contended_cycles m.tree_lock))
     t.files 0L
 
-let lru_lock_contended t = Sim.Sync.Mutex.contended_cycles t.lru_lock
 
 let dirty_pages t = total_dirty t

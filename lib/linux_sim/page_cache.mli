@@ -75,16 +75,10 @@ val evictions : t -> int
 val read_ios : t -> int
 val writeback_ios : t -> int
 
-val writeback_errors : t -> int
-(** Pages whose write-back failed after retries.  On msync/flusher paths
-    they are re-tagged dirty for a later retry; on the reclaim path the
-    data is lost (the kernel's AS_EIO behaviour). *)
-
 val sigbus_count : t -> int
 (** Unrecoverable fill reads delivered as {!Fault.Sigbus}. *)
 
 val tree_lock_contended : t -> int64
 (** Cycles lost waiting on per-file [tree_lock]s (summed). *)
 
-val lru_lock_contended : t -> int64
 val dirty_pages : t -> int

@@ -139,7 +139,6 @@ let make costs ~nframes kind =
   { kind; costs; state }
 
 let kind t = t.kind
-let name t = kind_to_string t.kind
 
 let stamp r f =
   r.stamp_clock <- r.stamp_clock + 1;

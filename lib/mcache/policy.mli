@@ -48,9 +48,6 @@ type t
 val make : Hw.Costs.t -> nframes:int -> kind -> t
 val kind : t -> kind
 
-val name : t -> string
-(** [name t] is [kind_to_string (kind t)]. *)
-
 val touch : t -> int -> int64
 (** [touch t f] records an access to resident frame [f] and returns the
     bookkeeping cycles to charge: CLOCK sets a reference bit

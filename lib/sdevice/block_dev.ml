@@ -11,8 +11,6 @@ type t = {
   cap : int64;
   mutable nreads : int;
   mutable nwrites : int;
-  mutable rbytes : int64;
-  mutable wbytes : int64;
   mutable nread_errors : int;
   mutable nwrite_errors : int;
   mutable ntorn : int;
@@ -40,8 +38,6 @@ let create ?(queues = 1) ~name ~channels ~setup_cycles ~cycles_per_byte
     cap = capacity_bytes;
     nreads = 0;
     nwrites = 0;
-    rbytes = 0L;
-    wbytes = 0L;
     nread_errors = 0;
     nwrite_errors = 0;
     ntorn = 0;
@@ -133,7 +129,6 @@ let read_result ?(polling = false) t ~addr ~len ~dst ~dst_off =
       Pagestore.read_bytes t.dstore ~addr ~len ~dst ~dst_off;
       t.nreads <- t.nreads + 1;
       Metrics.Registry.incr t.m_reads;
-      t.rbytes <- Int64.add t.rbytes (Int64.of_int len);
       Ok ()
   | Some plan -> (
       let page, count = page_span addr len in
@@ -148,7 +143,6 @@ let read_result ?(polling = false) t ~addr ~len ~dst ~dst_off =
           Pagestore.read_bytes t.dstore ~addr ~len ~dst ~dst_off;
           t.nreads <- t.nreads + 1;
           Metrics.Registry.incr t.m_reads;
-          t.rbytes <- Int64.add t.rbytes (Int64.of_int len);
           Ok ())
 
 (* The store is only mutated once the channel occupancy completed: an
@@ -164,7 +158,6 @@ let write_result ?(polling = false) t ~addr ~src ~src_off ~len =
       Pagestore.write_bytes t.dstore ~addr ~src ~src_off ~len;
       t.nwrites <- t.nwrites + 1;
       Metrics.Registry.incr t.m_writes;
-      t.wbytes <- Int64.add t.wbytes (Int64.of_int len);
       Ok ()
   | Some plan -> (
       let page, count = page_span addr len in
@@ -174,7 +167,6 @@ let write_result ?(polling = false) t ~addr ~src ~src_off ~len =
           Pagestore.write_bytes t.dstore ~addr ~src ~src_off ~len;
           t.nwrites <- t.nwrites + 1;
           Metrics.Registry.incr t.m_writes;
-          t.wbytes <- Int64.add t.wbytes (Int64.of_int len);
           Ok ()
       | Fault.W_error e ->
           t.nwrite_errors <- t.nwrite_errors + 1;
@@ -212,8 +204,6 @@ let write ?polling t ~addr ~src ~src_off ~len =
 
 let reads t = t.nreads
 let writes t = t.nwrites
-let bytes_read t = t.rbytes
-let bytes_written t = t.wbytes
 let read_errors t = t.nread_errors
 let write_errors t = t.nwrite_errors
 let torn_writes t = t.ntorn

@@ -68,8 +68,6 @@ val write_result :
 
 val reads : t -> int
 val writes : t -> int
-val bytes_read : t -> int64
-val bytes_written : t -> int64
 
 (** {1 Fault counters} — injected by the active {!Fault} plan. *)
 

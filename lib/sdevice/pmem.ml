@@ -2,7 +2,6 @@ type t = {
   pname : string;
   block : Block_dev.t;
   mutable dreads : int;
-  mutable dwrites : int;
 }
 
 let default_capacity = Int64.mul 192L 1048576L (* scaled: 192 "GB" -> 192 MiB *)
@@ -19,7 +18,6 @@ let create ?(name = "pmem0") ?(capacity_bytes = default_capacity) () =
       Block_dev.create ~name:(name ^ "-blk") ~channels:16 ~setup_cycles:600L
         ~cycles_per_byte:0.3 ~capacity_bytes ();
     dreads = 0;
-    dwrites = 0;
   }
 
 let name t = t.pname
@@ -36,8 +34,6 @@ let dax_read t costs ~simd ~addr ~len ~dst ~dst_off =
 
 let dax_write t costs ~simd ~addr ~src ~src_off ~len =
   Pagestore.write_bytes (store t) ~addr ~src ~src_off ~len;
-  t.dwrites <- t.dwrites + 1;
   derate nvm_write_factor (Hw.Costs.memcpy_bytes costs ~simd len)
 
 let dax_reads t = t.dreads
-let dax_writes t = t.dwrites

@@ -34,4 +34,3 @@ val dax_write :
   t -> Hw.Costs.t -> simd:bool -> addr:int64 -> src:Bytes.t -> src_off:int -> len:int -> int64
 
 val dax_reads : t -> int
-val dax_writes : t -> int
