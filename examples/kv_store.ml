@@ -41,7 +41,7 @@ let () =
     let s = Experiments.Scenario.make_ucache ~cache_pages ~dev:Experiments.Scenario.Pmem () in
     load_and_run ~name:"read/write + ucache"
       (Kvstore.Env.direct_ucache ~store:s.Experiments.Scenario.u_store
-         ~costs:Hw.Costs.default ~device_access:s.Experiments.Scenario.u_access
+         ~device_access:s.Experiments.Scenario.u_access
          ~ucache:s.Experiments.Scenario.u_cache)
   in
   let aq =

@@ -22,7 +22,7 @@ let sync f = f.fsync ()
 let delete f = f.fdelete ()
 let size_pages f = f.fsize
 
-let direct_ucache ~store ~costs ~device_access ~ucache =
+let direct_ucache ~store ~device_access ~ucache =
   let staging = Sdevice.Bufpool.pages () in
   let next_id = ref 100000 (* distinct from mmio context fids *) in
   let mk ~name ~size_pages =
@@ -31,7 +31,7 @@ let direct_ucache ~store ~costs ~device_access ~ucache =
     incr next_id;
     let file_id = !next_id in
     let fd =
-      Linux_sim.Readwrite.open_direct ~costs ~access:device_access
+      Linux_sim.Readwrite.open_direct ~access:device_access
         ~translate:(Blobstore.Store.translate blob) ~size_pages ~staging
     in
     Uspace.User_cache.register_file ucache ~file_id ~fd;

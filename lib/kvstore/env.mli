@@ -41,7 +41,6 @@ val size_pages : file -> int
 
 val direct_ucache :
   store:Blobstore.Store.t ->
-  costs:Hw.Costs.t ->
   device_access:Sdevice.Access.t ->
   ucache:Uspace.User_cache.t ->
   t

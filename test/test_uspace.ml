@@ -13,7 +13,7 @@ let make_rig ?(capacity = 64) ?(file_pages = 256) () =
     Sdevice.Access.host_pmem Hw.Costs.default ~entry:Sdevice.Access.From_user pmem
   in
   let fd =
-    Linux_sim.Readwrite.open_direct ~costs:Hw.Costs.default ~access
+    Linux_sim.Readwrite.open_direct ~access
       ~translate:(fun p -> if p < file_pages then Some p else None)
       ~size_pages:file_pages ~staging:(Sdevice.Bufpool.pages ())
   in
