@@ -24,6 +24,6 @@ val total : t -> int
 val drain_sorted : t -> ?file:int -> ?limit:int -> unit -> (Pagekey.t * int) list * int64
 (** [drain_sorted t ()] removes dirty entries from {e all} core sets and
     returns them merged in ascending key order, with the cost of one
-    removal per entry.  [file] restricts to one file's pages; [limit]
-    caps how many entries are taken (smallest keys first) and puts the
-    rest back into core 0's set. *)
+    removal per entry at its core's size before it.  [file] restricts to
+    one file's pages; [limit] takes only that many entries (smallest keys
+    first) and leaves the rest where they are. *)

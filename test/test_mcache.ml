@@ -112,8 +112,9 @@ let dirty_idempotent_add () =
    a key that another core holds is skipped.  Every cost is [rb_op] times
    the depth of a balanced tree of the core's size before the operation:
    1 below size 2, else floor(log2 size) + 1; a drain pays that for each
-   entry it takes, one at a time.  Entries past [limit] go back to core 0,
-   which the final per-core removals check. *)
+   entry it takes, one at a time, at the core that holds it.  A drain takes
+   only the [limit] smallest matching keys and leaves the rest on their
+   cores, which the final per-core removals check. *)
 type dirty_op =
   | D_add of int * Mcache.Pagekey.t * int
   | D_remove of int * Mcache.Pagekey.t
@@ -197,21 +198,23 @@ let dirty_set_matches_model =
               let keep (k, _) =
                 match file with None -> true | Some f -> Mcache.Pagekey.file_of k = f
               in
-              let expect_cost = ref 0L and taken = ref [] in
+              let n = Option.value limit ~default:max_int in
+              let expect =
+                Array.to_list model
+                |> List.concat_map (List.filter keep)
+                |> List.sort compare
+                |> List.filteri (fun i _ -> i < n)
+              in
+              let expect_cost = ref 0L in
               Array.iteri
                 (fun core l ->
-                  let mine, rest = List.partition keep l in
+                  let mine, rest = List.partition (fun e -> List.mem e expect) l in
                   List.iteri
                     (fun i _ ->
                       expect_cost := Int64.add !expect_cost (cost (List.length l - i)))
                     mine;
-                  taken := mine @ !taken;
                   model.(core) <- rest)
                 model;
-              let sorted = List.sort compare !taken in
-              let n = Option.value limit ~default:max_int in
-              let expect = List.filteri (fun i _ -> i < n) sorted in
-              model.(0) <- List.filteri (fun i _ -> i >= n) sorted @ model.(0);
               let got, got_cost = Mcache.Dirty_set.drain_sorted ds ?file ?limit () in
               let rec ascending = function
                 | (a, _) :: ((b, _) :: _ as tl) -> a < b && ascending tl
@@ -440,6 +443,36 @@ let writeback_daemon_cleans_in_background () =
     (Mcache.Dram_cache.dirty_pages r.cache <= 4);
   Alcotest.(check bool) "pages written back" true
     (Mcache.Dram_cache.writeback_pages r.cache >= 36);
+  Mcache.Dram_cache.stop_writeback_daemon r.cache;
+  Sim.Engine.run eng
+
+(* The daemon cleans at most 64 pages a round, so it leaves 8 of 72 pages
+   written on core 1 dirty; evicting all 72 must leave no dirty entry
+   behind, on core 1 or on any other. *)
+let limited_clean_leaves_no_stale_entry () =
+  let r = make_rig ~frames:128 ~file_pages:512 () in
+  let eng = Sim.Engine.create () in
+  Mcache.Dram_cache.spawn_writeback_daemon r.cache ~eng ~hi:70 ~lo:60 ~core:0 ();
+  let touch p ~write =
+    Mcache.Dram_cache.fault r.cache ~core:1 ~key:(key p) ~vpn:(1000 + p) ~write ()
+  in
+  ignore
+    (Sim.Engine.spawn eng ~core:1 (fun () ->
+         for p = 0 to 71 do
+           touch p ~write:true
+         done;
+         for p = 100 to 400 do
+           touch p ~write:false
+         done));
+  Sim.Engine.run eng;
+  let resident =
+    List.length
+      (List.filter
+         (fun p -> Mcache.Dram_cache.is_resident r.cache ~key:(key p))
+         (List.init 72 Fun.id))
+  in
+  checki "written pages evicted" 0 resident;
+  checki "no dirty entry left" 0 (Mcache.Dram_cache.dirty_pages r.cache);
   Mcache.Dram_cache.stop_writeback_daemon r.cache;
   Sim.Engine.run eng
 
@@ -917,6 +950,8 @@ let () =
           Alcotest.test_case "drop file" `Quick drop_file_clears;
           Alcotest.test_case "grow/shrink" `Quick grow_shrink;
           Alcotest.test_case "writeback daemon" `Quick writeback_daemon_cleans_in_background;
+          Alcotest.test_case "limited clean leaves no stale entry" `Quick
+            limited_clean_leaves_no_stale_entry;
           Alcotest.test_case "crash loses unsynced" `Quick crash_loses_unsynced_data;
           Alcotest.test_case "msync on clean cache" `Quick msync_clean_cache_is_free;
           QCheck_alcotest.to_alcotest crash_keeps_exactly_synced;
