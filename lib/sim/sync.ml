@@ -114,24 +114,6 @@ module Resource = struct
   let completed t = t.done_
 end
 
-module Barrier = struct
-  type t = { parties : int; mutable arrived : int; q : Waitq.t }
-
-  let create ~parties =
-    if parties <= 0 then invalid_arg "Barrier.create";
-    { parties; arrived = 0; q = Waitq.create () }
-
-  let await t =
-    t.arrived <- t.arrived + 1;
-    if t.arrived >= t.parties then begin
-      t.arrived <- 0;
-      ignore (Waitq.broadcast t.q)
-    end
-    else Waitq.wait t.q
-
-  let waiting t = t.arrived
-end
-
 module Ivar = struct
   type 'a t = { mutable v : 'a option; q : Waitq.t }
 

@@ -81,20 +81,6 @@ module Resource : sig
   (** Number of completed [use] operations. *)
 end
 
-(** Cyclic barrier: the last arriving fiber releases everyone. *)
-module Barrier : sig
-  type t
-
-  val create : parties:int -> t
-  (** [create ~parties] synchronizes groups of [parties] fibers. *)
-
-  val await : t -> unit
-  (** [await b] blocks until [parties] fibers have arrived, then all
-      proceed and the barrier resets for the next round. *)
-
-  val waiting : t -> int
-end
-
 (** Write-once synchronization cell (future/promise). *)
 module Ivar : sig
   type 'a t
