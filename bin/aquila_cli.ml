@@ -24,15 +24,6 @@ let resolve id =
     | [] -> Error (Printf.sprintf "unknown experiment %S" id)
     | entries -> Ok entries
 
-let trace_out_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "trace" ] ~docv:"FILE"
-        ~doc:"Record a virtual-time trace and write Chrome Trace Event JSON \
-              to $(docv) (open in Perfetto or chrome://tracing).  Forces \
-              $(b,--jobs) 1 and $(b,--deterministic).")
-
 let jobs_arg =
   Arg.(
     value
@@ -157,51 +148,23 @@ let set_domains ~observer ~jobs ~shards ~deterministic =
   jobs
 
 let run_cmd =
-  let doc = "Run one experiment (or 'all')." in
-  let id =
-    Arg.(
-      required
-      & pos 0 (some string) None
-      & info [] ~docv:"ID" ~doc:"Experiment id (see 'list'), or 'all'.")
-  in
-  let run id trace_out jobs shards deterministic plan crash_at policy
-      metrics_out =
-    match (resolve id, fault_spec_of plan crash_at) with
-    | Error msg, _ -> `Error (false, msg)
-    | _, Error msg -> `Error (true, msg)
-    | Ok _, _ when jobs < 1 -> `Error (true, "--jobs must be >= 1")
-    | Ok _, _ when shards < 1 -> `Error (true, "--shards must be >= 1")
-    | Ok entries, Ok fault ->
-        Experiments.Scenario.set_policy policy;
-        let jobs =
-          set_domains
-            ~observer:(Option.map (fun _ -> "--trace") trace_out)
-            ~jobs ~shards ~deterministic
-        in
-        Experiments.Scenario.with_metrics ?out:metrics_out (fun () ->
-            Experiments.Scenario.with_trace ?out:trace_out (fun () ->
-                run_entries ~jobs ?fault entries));
-        `Ok ()
-  in
-  Cmd.v (Cmd.info "run" ~doc)
-    Term.(
-      ret
-        (const run $ id $ trace_out_arg $ jobs_arg $ shards_arg
-       $ deterministic_arg $ fault_plan_arg $ crash_at_arg $ policy_arg
-       $ metrics_out_arg))
-
-let trace_cmd =
-  let doc = "Run an experiment under the tracer and export the trace." in
+  let doc = "Run one experiment (or 'all'), optionally under the observers." in
   let man =
     [
       `S Manpage.s_description;
       `P
-        "Runs the experiment(s) selected by $(i,ID) with virtual-time \
-         tracing enabled and writes a Chrome Trace Event JSON file \
-         (cores appear as processes, fibers as threads; one trace \
-         microsecond equals one simulated cycle).  An id prefix selects \
-         every matching experiment, so 'trace fig5' records fig5a and \
-         fig5b into one file.";
+        "Runs the experiment(s) selected by $(i,ID).  An id prefix selects \
+         every matching experiment, so 'run fig5' runs fig5a and fig5b.";
+      `P
+        "The observers are off unless asked for.  $(b,--trace), \
+         $(b,--csv) and $(b,--summary) record a virtual-time trace (cores \
+         appear as processes, fibers as threads; one trace microsecond \
+         equals one simulated cycle).  $(b,--report) prints the run's \
+         merged counter/gauge/histogram snapshot as a table (nonzero \
+         series only) and $(b,--metrics-out) writes it to a file; both \
+         are byte-identical at any $(b,--jobs) level.  $(b,--profile) and \
+         $(b,--timeseries) run the virtual-time sampling profiler.  The \
+         tracer and the profiler force a sequential run.";
     ]
   in
   let id =
@@ -211,54 +174,129 @@ let trace_cmd =
       & info [] ~docv:"ID"
           ~doc:"Experiment id or prefix (see 'list'), or 'all'.")
   in
-  let out =
+  let trace =
     Arg.(
       value
-      & opt string "trace.json"
-      & info [ "o"; "output" ] ~docv:"FILE"
-          ~doc:"Chrome Trace Event JSON output path.")
+      & opt (some string) None
+      & info [ "trace" ] ~docv:"FILE"
+          ~doc:"Record a virtual-time trace and write Chrome Trace Event \
+                JSON to $(docv) (open in Perfetto or chrome://tracing).  \
+                Forces $(b,--jobs) 1 and $(b,--deterministic).")
   in
   let csv =
     Arg.(
       value
       & opt (some string) None
-      & info [ "csv" ] ~docv:"FILE" ~doc:"Also write a flat CSV of events.")
+      & info [ "csv" ] ~docv:"FILE"
+          ~doc:"Record a trace and write its events as flat CSV to $(docv).")
   in
   let summary =
     Arg.(
       value
-      & opt int 20
+      & opt int 0
       & info [ "summary" ] ~docv:"N"
-          ~doc:"Print the top $(docv) spans by total cycles (0 disables).")
+          ~doc:"Record a trace and print its top $(docv) spans by total \
+                cycles (0 prints none).")
   in
   let buffer =
     Arg.(
       value
       & opt int 65536
       & info [ "buffer" ] ~docv:"SLOTS"
-          ~doc:"Per-core ring-buffer capacity in events; oldest events are \
+          ~doc:"Per-core trace ring capacity in events; oldest events are \
                 dropped on overflow (the drop count is recorded in the \
                 trace).")
   in
-  let run id out csv summary buffer policy metrics_out =
-    match resolve id with
-    | Error msg -> `Error (false, msg)
-    | Ok _ when buffer <= 0 ->
+  let report =
+    Arg.(
+      value
+      & flag
+      & info [ "report" ]
+          ~doc:"Print the run's nonzero metrics as a table after it ends.")
+  in
+  let families =
+    Arg.(
+      value
+      & flag
+      & info [ "families" ]
+          ~doc:"Also print the registered metric families with their help \
+                strings (implies $(b,--report)).")
+  in
+  let profile =
+    Arg.(
+      value
+      & opt (some string) None
+      & info [ "profile" ] ~docv:"FILE"
+          ~doc:"Write a folded-stack virtual-time profile to $(docv) \
+                (one 'fiber;label count' line per stack; feed to \
+                flamegraph.pl or speedscope).  Forces $(b,--jobs) 1 and \
+                $(b,--deterministic).")
+  in
+  let sample_period =
+    Arg.(
+      value
+      & opt int 10_000
+      & info [ "sample-period" ] ~docv:"CYCLES"
+          ~doc:"Profiler sampling grid in virtual cycles.")
+  in
+  let timeseries =
+    Arg.(
+      value
+      & opt (some string) None
+      & info [ "timeseries" ] ~docv:"FILE"
+          ~doc:"Write a long-format CSV (cycles,key,value) sampling every \
+                metric on a virtual-time grid.  Forces $(b,--jobs) 1 and \
+                $(b,--deterministic).")
+  in
+  let ts_period =
+    Arg.(
+      value
+      & opt int 1_000_000
+      & info [ "timeseries-period" ] ~docv:"CYCLES"
+          ~doc:"Timeseries sampling period in virtual cycles.")
+  in
+  let run id jobs shards deterministic plan crash_at policy metrics_out trace
+      csv summary buffer report families profile sample_period timeseries
+      ts_period =
+    match (resolve id, fault_spec_of plan crash_at) with
+    | Error msg, _ -> `Error (false, msg)
+    | _, Error msg -> `Error (true, msg)
+    | Ok _, _ when jobs < 1 -> `Error (true, "--jobs must be >= 1")
+    | Ok _, _ when shards < 1 -> `Error (true, "--shards must be >= 1")
+    | Ok _, _ when buffer <= 0 ->
         `Error (true, "--buffer must be a positive number of events")
-    | Ok entries ->
+    | Ok _, _ when sample_period <= 0 || ts_period <= 0 ->
+        `Error (true, "--sample-period and --timeseries-period must be > 0")
+    | Ok entries, Ok fault ->
         Experiments.Scenario.set_policy policy;
         let summary = if summary > 0 then Some summary else None in
-        Experiments.Scenario.with_metrics ?out:metrics_out (fun () ->
-            Experiments.Scenario.with_trace ~buffer_per_core:buffer ~out ?csv
-              ?summary (fun () -> run_entries entries));
+        let jobs =
+          set_domains
+            ~observer:
+              (if trace <> None || csv <> None || summary <> None then
+                 Some "--trace"
+               else if profile <> None || timeseries <> None then
+                 Some "--profile/--timeseries"
+               else None)
+            ~jobs ~shards ~deterministic
+        in
+        let report =
+          if families then Some `Families else if report then Some `Table
+          else None
+        in
+        Experiments.Scenario.observe ?trace ?csv ?summary ~buffer ?report
+          ?metrics_out ?profile ~sample_period ?timeseries ~ts_period
+          (fun () -> run_entries ~jobs ?fault entries);
         `Ok ()
   in
   Cmd.v
-    (Cmd.info "trace" ~doc ~man)
+    (Cmd.info "run" ~doc ~man)
     Term.(
       ret
-        (const run $ id $ out $ csv $ summary $ buffer $ policy_arg
-       $ metrics_out_arg))
+        (const run $ id $ jobs_arg $ shards_arg $ deterministic_arg
+       $ fault_plan_arg $ crash_at_arg $ policy_arg $ metrics_out_arg $ trace
+       $ csv $ summary $ buffer $ report $ families $ profile $ sample_period
+       $ timeseries $ ts_period))
 
 (* faultcheck's error-injection plan.  The sweep sets seed, crash and node
    for every combo itself, so a plan that sets them would change nothing
@@ -296,7 +334,7 @@ let run_sweeps ~name ~checker ~bug ~failure ?metrics_out ~jobs ~seeds ~points
   else begin
     let seeds = List.init seeds (fun i -> i + 1) in
     let reports =
-      Experiments.Scenario.with_metrics ?out:metrics_out @@ fun () ->
+      Experiments.Scenario.observe ?metrics_out @@ fun () ->
       List.map
         (fun sweep ->
           let slots = Array.make (List.length seeds) Fault_check.Check.empty in
@@ -583,7 +621,7 @@ let loadtest_cmd =
             seed;
           }
         in
-        Experiments.Scenario.with_metrics ?out:metrics_out (fun () ->
+        Experiments.Scenario.observe ?metrics_out (fun () ->
             Experiments.Openloop.loadtest ~jobs ?fault ~backends ~rates params);
         `Ok ()
   in
@@ -595,105 +633,6 @@ let loadtest_cmd =
        $ queue_cap $ slo $ seed $ jobs_arg $ fault_plan_arg $ crash_at_arg
        $ policy_arg $ metrics_out_arg))
 
-let report_cmd =
-  let doc = "Run an experiment and print its metrics breakdown." in
-  let man =
-    [
-      `S Manpage.s_description;
-      `P
-        "Runs the experiment(s) selected by $(i,ID) with a fresh metrics \
-         epoch and prints the merged counter/gauge/histogram snapshot as \
-         a table (nonzero series only).  $(b,--metrics-out) additionally \
-         writes the snapshot to a file; $(b,--profile) enables the \
-         virtual-time sampling profiler and writes folded stacks \
-         (flamegraph.pl / speedscope); $(b,--timeseries) records a \
-         periodic snapshot CSV.  Counter output is byte-identical at any \
-         $(b,--jobs) level; profiling forces a sequential run.";
-    ]
-  in
-  let id =
-    Arg.(
-      required
-      & pos 0 (some string) None
-      & info [] ~docv:"ID"
-          ~doc:"Experiment id or prefix (see 'list'), or 'all'.")
-  in
-  let families =
-    Arg.(
-      value
-      & flag
-      & info [ "families" ]
-          ~doc:"Also print the registered metric families with their help \
-                strings.")
-  in
-  let profile =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "profile" ] ~docv:"FILE"
-          ~doc:"Write a folded-stack virtual-time profile to $(docv) \
-                (one 'fiber;label count' line per stack; feed to \
-                flamegraph.pl or speedscope).  Forces $(b,--jobs) 1 and \
-                $(b,--deterministic).")
-  in
-  let sample_period =
-    Arg.(
-      value
-      & opt int 10_000
-      & info [ "sample-period" ] ~docv:"CYCLES"
-          ~doc:"Profiler sampling grid in virtual cycles.")
-  in
-  let timeseries =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "timeseries" ] ~docv:"FILE"
-          ~doc:"Write a long-format CSV (cycles,key,value) sampling every \
-                metric on a virtual-time grid.  Forces $(b,--jobs) 1 and \
-                $(b,--deterministic).")
-  in
-  let ts_period =
-    Arg.(
-      value
-      & opt int 1_000_000
-      & info [ "timeseries-period" ] ~docv:"CYCLES"
-          ~doc:"Timeseries sampling period in virtual cycles.")
-  in
-  let run id jobs shards deterministic plan crash_at policy metrics_out
-      families profile sample_period timeseries ts_period =
-    match (resolve id, fault_spec_of plan crash_at) with
-    | Error msg, _ -> `Error (false, msg)
-    | _, Error msg -> `Error (true, msg)
-    | Ok _, _ when jobs < 1 -> `Error (true, "--jobs must be >= 1")
-    | Ok _, _ when shards < 1 -> `Error (true, "--shards must be >= 1")
-    | Ok _, _ when sample_period <= 0 || ts_period <= 0 ->
-        `Error (true, "--sample-period and --timeseries-period must be > 0")
-    | Ok entries, Ok fault ->
-        Experiments.Scenario.set_policy policy;
-        let jobs =
-          set_domains
-            ~observer:
-              (if profile <> None || timeseries <> None then
-                 Some "--profile/--timeseries"
-               else None)
-            ~jobs ~shards ~deterministic
-        in
-        Experiments.Scenario.with_metrics ?out:metrics_out ?profile
-          ~sample_period ?timeseries ~ts_period (fun () ->
-            run_entries ~jobs ?fault entries;
-            let samples = Metrics.Registry.snapshot () in
-            if families then Stats.Metrics_report.print_families samples;
-            Stats.Metrics_report.print samples);
-        `Ok ()
-  in
-  Cmd.v
-    (Cmd.info "report" ~doc ~man)
-    Term.(
-      ret
-        (const run $ id $ jobs_arg $ shards_arg $ deterministic_arg
-       $ fault_plan_arg $ crash_at_arg $ policy_arg $ metrics_out_arg
-       $ families $ profile $ sample_period $ timeseries $ ts_period))
-
 let () =
   let doc = "Reproduction harness for 'Memory-Mapped I/O on Steroids' (EuroSys '21)" in
   let info = Cmd.info "aquila_cli" ~version:"1.0.0" ~doc in
@@ -703,8 +642,6 @@ let () =
           [
             list_cmd;
             run_cmd;
-            trace_cmd;
-            report_cmd;
             loadtest_cmd;
             faultcheck_cmd;
             clustercheck_cmd;

@@ -1,7 +1,12 @@
 (* Figure 7: RocksDB read-path cycle breakdown — user-space cache +
    explicit I/O vs Aquila (out-of-memory dataset, pmem). *)
 
-let get_labels = [ "kv_get"; "kv_get_bloom"; "kv_get_index"; "kv_get_block"; "kv_scan" ]
+let get_labels =
+  [
+    "kv_get"; "kv_get_bloom"; "kv_get_index"; "kv_get_block"; "kv_get_log";
+    "kv_scan"; "kv_scan_index"; "kv_scan_block";
+  ]
+
 let device_labels = [ "io_device"; "io_memcpy"; "io_driver" ]
 let syscall_labels = [ "io_syscall"; "io_kernel" ]
 
@@ -9,29 +14,24 @@ let cache_mgmt_labels_ucache = [ "ucache" ]
 
 let cache_mgmt_labels_aquila =
   [
-    "trap"; "fault_entry"; "vma"; "index"; "alloc"; "evict"; "tlb"; "map"; "lru";
-    "writeback"; "ept"; "irq"; "dirty"; "enter"; "syscall_dispatch";
+    "trap"; "fault_entry"; "vma"; "index"; "alloc"; "evict"; "tlb"; "tlb_walk";
+    "map"; "lru"; "writeback"; "ept"; "irq"; "dirty"; "enter";
+    "syscall_dispatch";
   ]
-
-let bucket bd prefixes ops = Stats.Breakdown.per_op (Stats.Breakdown.group bd ~prefixes) ops
 
 let run () =
   let threads = 8 in
-  let measure sys =
-    let m = Fig5.run_for_breakdown ~sys ~threads in
-    let bd = Stats.Breakdown.create () in
-    List.iter (Stats.Breakdown.absorb bd) m.Fig5.ctxs;
-    (m, bd)
-  in
-  let _mu, bd_u = measure Fig5.Rw in
-  let _ma, bd_a = measure Fig5.Aquila_s in
+  let ctxs sys = (Fig5.run_for_breakdown ~sys ~threads).Fig5.ctxs in
+  let ctxs_u = ctxs Fig5.Rw in
+  let ctxs_a = ctxs Fig5.Aquila_s in
   let ops = threads * 1000 in
-  let row name bd ~cache_labels ~syscalls_in_cache =
-    let dev = bucket bd device_labels ops in
-    let sysc = bucket bd syscall_labels ops in
-    let cache = bucket bd cache_labels ops +. (if syscalls_in_cache then sysc else 0.) in
-    let get = bucket bd get_labels ops in
-    let total = dev +. cache +. get +. (if syscalls_in_cache then 0. else sysc) in
+  (* syscalls count as cache management in both configurations *)
+  let row name ctxs ~cache_labels =
+    let bucket labels = Scenario.cycles_per_op ctxs labels ops in
+    let dev = bucket device_labels in
+    let cache = bucket cache_labels +. bucket syscall_labels in
+    let get = bucket get_labels in
+    let total = dev +. cache +. get in
     ( [
         name;
         Stats.Table_fmt.kcycles dev;
@@ -42,12 +42,10 @@ let run () =
       (cache, total) )
   in
   let urow, (ucache, utotal) =
-    row "read/write + user cache" bd_u ~cache_labels:cache_mgmt_labels_ucache
-      ~syscalls_in_cache:true
+    row "read/write + user cache" ctxs_u ~cache_labels:cache_mgmt_labels_ucache
   in
   let arow, (acache, atotal) =
-    row "Aquila mmio" bd_a ~cache_labels:cache_mgmt_labels_aquila
-      ~syscalls_in_cache:true
+    row "Aquila mmio" ctxs_a ~cache_labels:cache_mgmt_labels_aquila
   in
   Stats.Table_fmt.print_table
     ~title:

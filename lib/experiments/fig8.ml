@@ -2,20 +2,23 @@
 
 let psz = Hw.Defs.page_size
 
-let per_fault bd label faults =
-  Stats.Breakdown.per_op (Stats.Breakdown.label bd label) faults
-
 let io_labels = [ "io_device"; "io_kernel"; "io_syscall"; "io_memcpy"; "io_driver" ]
+let tlb_labels = [ "tlb"; "tlb_walk" ]
+let evict_labels = [ "evict"; "writeback" ]
 
-let breakdown_row name (r : Microbench.result) =
-  let bd = r.Microbench.breakdown in
-  let f = max 1 r.Microbench.faults in
-  let g prefixes = Stats.Breakdown.per_op (Stats.Breakdown.group bd ~prefixes) f in
-  let trap = per_fault bd "trap" f in
+let handler_labels =
+  [ "fault_entry"; "vma"; "index"; "alloc"; "map"; "lru"; "dirty"; "ept"; "copy" ]
+
+let per_fault (r : Microbench.result) labels =
+  Scenario.cycles_per_op r.Microbench.ctxs labels (max 1 r.Microbench.faults)
+
+let breakdown_row name r =
+  let g = per_fault r in
+  let trap = g [ "trap" ] in
   let io = g io_labels in
-  let tlb = g [ "tlb" ] in
-  let evict = g [ "evict"; "writeback" ] in
-  let handler = g [ "fault_entry"; "vma"; "index"; "alloc"; "map"; "lru"; "dirty"; "ept"; "copy" ] in
+  let tlb = g tlb_labels in
+  let evict = g evict_labels in
+  let handler = g handler_labels in
   let total = trap +. io +. tlb +. evict +. handler in
   [
     name;
@@ -55,16 +58,11 @@ let run_a () =
       "Figure 8(a): page-fault breakdown, dataset fits in memory (pmem, 1 thread)"
     ~header
     [ breakdown_row "Linux mmap" linux; breakdown_row "Aquila" aquila ];
-  let total bd f =
-    Stats.Breakdown.per_op
-      (Stats.Breakdown.group bd
-         ~prefixes:("trap" :: "fault_entry" :: "vma" :: "index" :: "alloc" :: "map"
-                    :: "lru" :: "dirty" :: "ept" :: "copy" :: "tlb" :: "evict"
-                    :: "writeback" :: io_labels))
-      f
+  let total r =
+    per_fault r (("trap" :: handler_labels) @ tlb_labels @ evict_labels @ io_labels)
   in
-  let lt = total linux.Microbench.breakdown (max 1 linux.Microbench.faults) in
-  let at = total aquila.Microbench.breakdown (max 1 aquila.Microbench.faults) in
+  let lt = total linux in
+  let at = total aquila in
   Sim.Sink.printf
     "paper: Linux fault ~5380 cycles (trap 24%%, I/O 49%%); Aquila trap 552 vs 1287 \
      cycles (2.33x); fault latency -45.3%%\n";

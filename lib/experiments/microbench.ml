@@ -5,7 +5,7 @@ type result = {
   elapsed_cycles : int64;
   throughput_ops_s : float;
   latency : Stats.Histogram.t;
-  breakdown : Stats.Breakdown.t;
+  ctxs : Sim.Engine.ctx list;
   faults : int;
   evictions : int;
 }
@@ -81,7 +81,6 @@ let run ~eng ~sys ~file_pages ~shared ~threads ~ops_per_thread
     ?(write_fraction = 0.0) ?(pattern = Uniform) ?(seed = 7) () =
   if threads <= 0 || file_pages <= 0 then invalid_arg "Microbench.run";
   let hist = Stats.Histogram.create () in
-  let bd = Stats.Breakdown.create () in
   let shared_region = ref None in
   (* setup fiber: create the shared mapping before workers start *)
   if shared then begin
@@ -143,7 +142,6 @@ let run ~eng ~sys ~file_pages ~shared ~threads ~ops_per_thread
     ctxs := ctx :: !ctxs
   done;
   Sim.Engine.run eng;
-  List.iter (Stats.Breakdown.absorb bd) !ctxs;
   let elapsed = Int64.sub (Sim.Engine.now eng) start in
   let ops = threads * ops_per_thread in
   let secs = Int64.to_float elapsed /. 2.4e9 in
@@ -152,7 +150,7 @@ let run ~eng ~sys ~file_pages ~shared ~threads ~ops_per_thread
     elapsed_cycles = elapsed;
     throughput_ops_s = (if secs > 0. then float_of_int ops /. secs else 0.);
     latency = hist;
-    breakdown = bd;
+    ctxs = !ctxs;
     faults = fault_count sys;
     evictions = eviction_count sys;
   }

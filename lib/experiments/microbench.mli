@@ -10,7 +10,7 @@ type result = {
   elapsed_cycles : int64;
   throughput_ops_s : float;
   latency : Stats.Histogram.t;
-  breakdown : Stats.Breakdown.t;
+  ctxs : Sim.Engine.ctx list;  (** worker accounting (Figure 8) *)
   faults : int;
   evictions : int;
 }

@@ -152,76 +152,78 @@ let scale_note =
   "sizes scaled ~2^10 vs the paper (GB->MB); ratios, batch amortization and \
    cost constants preserved (DESIGN.md #2)"
 
-(* Run [f] under an ambient tracer and export the requested sinks.  With
-   no sink requested, [f] runs untraced (the fast path).  Used by the CLI
-   to thread --trace through any experiment without touching its code. *)
-let with_trace ?(buffer_per_core = 4096) ?out ?csv ?summary f =
-  match (out, csv, summary) with
-  | None, None, None -> f ()
-  | _ ->
-      ignore (Trace.start ~capacity_per_core:buffer_per_core ());
-      let finish () =
-        match Trace.stop () with
-        | None -> ()
-        | Some tr ->
-            (match out with
-            | Some path ->
-                Trace.write_chrome_json tr path;
-                Sim.Sink.printf "trace: %d events (%d dropped) -> %s\n%!"
-                  (Trace.events_count tr) (Trace.dropped tr) path
-            | None -> ());
-            (match csv with Some path -> Trace.write_csv tr path | None -> ());
-            (match summary with
-            | Some top -> Trace.print_summary ~top tr
-            | None -> ())
-      in
-      (match f () with
-      | v ->
-          finish ();
-          v
-      | exception e ->
-          ignore (Trace.stop ());
-          raise e)
+let cycles_per_op ctxs labels ops =
+  let total =
+    List.fold_left
+      (fun acc ctx ->
+        List.fold_left
+          (fun acc l -> Int64.add acc (Sim.Engine.label_get ctx l))
+          acc labels)
+      0L ctxs
+  in
+  Int64.to_float total /. float_of_int ops
 
-(* Run [f] with a fresh metrics epoch and export the requested sinks.
-   Counters are always on, so "fresh epoch" just zeroes the registry —
-   the snapshot then covers exactly this run, whatever ran earlier in
-   the process.  [profile]/[timeseries] additionally start the
-   virtual-time sampling profiler (domain-local: callers force a
-   sequential run, as with tracing). *)
-let with_metrics ?out ?profile ?(sample_period = 10_000) ?timeseries
-    ?(ts_period = 1_000_000) f =
-  match (out, profile, timeseries) with
-  | None, None, None -> f ()
-  | _ ->
-      Metrics.Registry.reset ();
-      let profiling = profile <> None || timeseries <> None in
-      if profiling then
-        Metrics.Profile.start ~period:sample_period
-          ~ts_period:(match timeseries with None -> 0 | Some _ -> ts_period)
-          ();
-      let finish () =
-        if profiling then Metrics.Profile.stop ();
-        (match out with
-        | Some path ->
-            Metrics.Export.write ~path (Metrics.Registry.snapshot ());
-            Sim.Sink.printf "metrics: snapshot -> %s\n%!" path
-        | None -> ());
-        (match profile with
-        | Some path ->
-            Metrics.Export.to_file path (Metrics.Profile.folded ());
-            Sim.Sink.printf "metrics: folded profile -> %s\n%!" path
-        | None -> ());
-        match timeseries with
-        | Some path ->
-            Metrics.Export.to_file path (Metrics.Profile.timeseries_csv ());
-            Sim.Sink.printf "metrics: timeseries -> %s\n%!" path
-        | None -> ()
-      in
-      (match f () with
-      | v ->
-          finish ();
-          v
-      | exception e ->
-          if profiling then Metrics.Profile.stop ();
-          raise e)
+(* Run [f] under the requested observers and export their sinks.  With
+   none requested, [f] runs untouched (the fast path).  Counters are
+   always on, so a fresh metrics epoch just zeroes the registry — the
+   snapshot then covers exactly this run, whatever ran earlier in the
+   process.  The tracer and the profiler are domain-local: callers force
+   a sequential run while either is on.  The sinks go out in a fixed
+   order: trace files and summary, the report, then the metrics files. *)
+let observe ?trace ?csv ?summary ?buffer ?report ?metrics_out ?profile
+    ?(sample_period = 10_000) ?timeseries ?(ts_period = 1_000_000) f =
+  let tracing = trace <> None || csv <> None || summary <> None in
+  let profiling = profile <> None || timeseries <> None in
+  if not (tracing || profiling || report <> None || metrics_out <> None) then
+    f ()
+  else begin
+    Metrics.Registry.reset ();
+    let p =
+      Metrics.Profile.create ~period:sample_period
+        ~ts_period:(if timeseries = None then 0 else ts_period)
+        ()
+    in
+    if profiling then Trace.start_profile p;
+    if tracing then ignore (Trace.start ?capacity_per_core:buffer ());
+    let stop_tracer () = if tracing then Trace.stop () else None in
+    let v =
+      try f ()
+      with e ->
+        ignore (stop_tracer ());
+        if profiling then Trace.stop_profile ();
+        raise e
+    in
+    Option.iter
+      (fun tr ->
+        Option.iter
+          (fun path ->
+            Trace.write_chrome_json tr path;
+            Sim.Sink.printf "trace: %d events (%d dropped) -> %s\n%!"
+              (Trace.events_count tr) (Trace.dropped tr) path)
+          trace;
+        Option.iter (Trace.write_csv tr) csv;
+        Option.iter (fun top -> Trace.print_summary ~top tr) summary)
+      (stop_tracer ());
+    Option.iter
+      (fun r ->
+        let samples = Metrics.Registry.snapshot () in
+        if r = `Families then Stats.Metrics_report.print_families samples;
+        Stats.Metrics_report.print samples)
+      report;
+    if profiling then Trace.stop_profile ();
+    let export what write =
+      Option.iter (fun path ->
+          write path;
+          Sim.Sink.printf "metrics: %s -> %s\n%!" what path)
+    in
+    export "snapshot"
+      (fun path -> Metrics.Export.write ~path (Metrics.Registry.snapshot ()))
+      metrics_out;
+    export "folded profile"
+      (fun path -> Metrics.Export.to_file path (Metrics.Profile.folded p))
+      profile;
+    export "timeseries"
+      (fun path -> Metrics.Export.to_file path (Metrics.Profile.timeseries_csv p))
+      timeseries;
+    v
+  end

@@ -74,34 +74,43 @@ val kv_of_kreon : Kvstore.Kreon_sim.t -> Ycsb.Runner.kv
 val scale_note : string
 (** One-line reminder of the 2^10 size scaling, printed by benches. *)
 
-val with_trace :
-  ?buffer_per_core:int ->
-  ?out:string ->
+val cycles_per_op : Sim.Engine.ctx list -> string list -> int -> float
+(** [cycles_per_op ctxs labels ops] is the cycles the fibers [ctxs]
+    charged to exactly the cost labels [labels] ({!Sim.Engine.label_get}),
+    per operation of [ops] — the cells of the Figure 7 and 8 breakdowns. *)
+
+val observe :
+  ?trace:string ->
   ?csv:string ->
   ?summary:int ->
-  (unit -> 'a) ->
-  'a
-(** [with_trace f] runs [f] under an ambient {!Trace} tracer and exports
-    the requested sinks afterwards: [out] writes Chrome Trace Event JSON
-    (load in Perfetto / chrome://tracing), [csv] a flat CSV, [summary]
-    a top-N span table on stdout.  With no sink requested [f] runs
-    untraced.  The tracer is stopped even if [f] raises. *)
-
-val with_metrics :
-  ?out:string ->
+  ?buffer:int ->
+  ?report:[ `Table | `Families ] ->
+  ?metrics_out:string ->
   ?profile:string ->
   ?sample_period:int ->
   ?timeseries:string ->
   ?ts_period:int ->
   (unit -> 'a) ->
   'a
-(** [with_metrics f] zeroes the (always-on) metrics registry, runs [f],
-    and exports the requested sinks: [out] writes the merged snapshot
-    (Prometheus text for [.prom]/[.txt] paths, flat JSON otherwise),
-    [profile] starts the virtual-time sampling profiler (grid period
-    [sample_period] cycles, default 10k) and writes folded stacks for
-    flamegraph.pl / speedscope, [timeseries] records a full snapshot
-    every [ts_period] virtual cycles (default 1M) and writes a long-form
-    CSV.  With no sink requested, [f] runs untouched.  The profiler is
-    domain-local — callers should force [--jobs 1] when profiling, as
-    with tracing; plain counter snapshots merge across any fan-out. *)
+(** [observe f] runs [f] under the requested observers and exports their
+    sinks.  With none requested [f] runs untouched; otherwise the
+    (always-on) metrics registry is zeroed first.
+    - Tracer ([Trace]), on when [trace], [csv] or [summary] is given,
+      with [buffer] events per core ring: [trace] writes Chrome Trace
+      Event JSON (load in Perfetto / chrome://tracing), [csv] a flat
+      CSV, [summary] a top-N span table on stdout.
+    - [report] prints the nonzero metrics as a table, [`Families] the
+      registered families with their help strings first.
+    - [metrics_out] writes the merged snapshot (Prometheus text for
+      [.prom]/[.txt] paths, flat JSON otherwise).
+    - Profiler ({!Metrics.Profile}), on when [profile] or [timeseries]
+      is given: [profile] writes folded stacks for flamegraph.pl /
+      speedscope sampled every [sample_period] virtual cycles (default
+      10k), [timeseries] a long-form CSV of a full snapshot every
+      [ts_period] virtual cycles (default 1M).
+
+    The sinks go out in that order, after [f] returns.  If [f] raises,
+    both observers are stopped and the exception is re-raised.  The
+    tracer and the profiler are domain-local — callers force [--jobs 1]
+    while either is on; plain counter snapshots merge across any
+    fan-out. *)

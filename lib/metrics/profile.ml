@@ -9,100 +9,61 @@
    one division per charge instead of a timer.
 
    Output is folded-stack ("fiber;label count" per line), directly
-   consumable by flamegraph.pl or speedscope.
-
-   The disabled probe mirrors [Trace.live_tracers]: engine hot paths do
-   one Atomic load and branch when no profiler is running. *)
-
-let live = Atomic.make 0
-let on () = Atomic.get live > 0
+   consumable by flamegraph.pl or speedscope. *)
 
 type t = {
   period : int;
   ts_period : int; (* 0 = timeseries disabled *)
   tbl : (string, int ref) Hashtbl.t; (* "fiber;label" -> samples *)
-  mutable running : bool;
   mutable next_ts : int;
   mutable rows : (int * (string * int) list) list; (* reverse order *)
 }
 
-let key : t option ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref None)
+let create ?(period = 10_000) ?(ts_period = 0) () =
+  if period <= 0 then invalid_arg "Profile.create: period must be positive";
+  {
+    period;
+    ts_period;
+    tbl = Hashtbl.create 64;
+    next_ts = (if ts_period > 0 then ts_period else max_int);
+    rows = [];
+  }
 
-let start ?(period = 10_000) ?(ts_period = 0) () =
-  if period <= 0 then invalid_arg "Profile.start: period must be positive";
-  let slot = Domain.DLS.get key in
-  (* a stopped profiler left in the slot (data kept readable) no longer
-     counts toward [live]; only replacing a running one keeps the count *)
-  (match !slot with Some p when p.running -> () | _ -> Atomic.incr live);
-  slot :=
-    Some
-      {
-        period;
-        ts_period;
-        tbl = Hashtbl.create 64;
-        running = true;
-        next_ts = (if ts_period > 0 then ts_period else max_int);
-        rows = [];
-      }
+let charge p ~now ~cycles ~fiber ~label =
+  let fin = now + cycles in
+  (* one sample per grid point in (now, now+cycles] *)
+  let s = (fin / p.period) - (now / p.period) in
+  if s > 0 then begin
+    let k = fiber ^ ";" ^ label in
+    match Hashtbl.find_opt p.tbl k with
+    | Some r -> r := !r + s
+    | None -> Hashtbl.add p.tbl k (ref s)
+  end;
+  if fin >= p.next_ts then begin
+    let pairs = Export.flat_pairs (Registry.snapshot ()) in
+    while fin >= p.next_ts do
+      p.rows <- (p.next_ts, pairs) :: p.rows;
+      p.next_ts <- p.next_ts + p.ts_period
+    done
+  end
 
-let stop () =
-  let slot = Domain.DLS.get key in
-  match !slot with
-  | Some p when p.running ->
-      (* Data stays readable through [folded] / [timeseries_csv] until
-         the next [start]. *)
-      p.running <- false;
-      Atomic.decr live
-  | _ -> ()
-
-let current () = !(Domain.DLS.get key)
-
-let charge ~now ~cycles ~fiber ~label =
-  match current () with
-  | None -> ()
-  | Some p ->
-      if p.running then begin
-        let fin = now + cycles in
-        (* one sample per grid point in (now, now+cycles] *)
-        let s = (fin / p.period) - (now / p.period) in
-        if s > 0 then begin
-          let k = fiber ^ ";" ^ label in
-          match Hashtbl.find_opt p.tbl k with
-          | Some r -> r := !r + s
-          | None -> Hashtbl.add p.tbl k (ref s)
-        end;
-        if fin >= p.next_ts then begin
-          let pairs = Export.flat_pairs (Registry.snapshot ()) in
-          while fin >= p.next_ts do
-            p.rows <- (p.next_ts, pairs) :: p.rows;
-            p.next_ts <- p.next_ts + p.ts_period
-          done
-        end
-      end
-
-let folded () =
-  match current () with
-  | None -> ""
-  | Some p ->
-      Hashtbl.fold (fun k r acc -> (k, !r) :: acc) p.tbl []
-      |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-      |> List.map (fun (k, n) -> Printf.sprintf "%s %d\n" k n)
-      |> String.concat ""
+let folded p =
+  Hashtbl.fold (fun k r acc -> (k, !r) :: acc) p.tbl []
+  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
+  |> List.map (fun (k, n) -> Printf.sprintf "%s %d\n" k n)
+  |> String.concat ""
 
 (* Long-format timeseries: one row per (grid time, metric key).  Keys
    contain commas inside "{...}", so they go through CSV escaping. *)
-let timeseries_csv () =
-  match current () with
-  | None -> ""
-  | Some p ->
-      let b = Buffer.create 1024 in
-      Buffer.add_string b "cycles,key,value\n";
+let timeseries_csv p =
+  let b = Buffer.create 1024 in
+  Buffer.add_string b "cycles,key,value\n";
+  List.iter
+    (fun (ts, pairs) ->
       List.iter
-        (fun (ts, pairs) ->
-          List.iter
-            (fun (k, v) ->
-              Buffer.add_string b
-                (Printf.sprintf "%d,%s,%d\n" ts (Export.csv_field k) v))
-            pairs)
-        (List.rev p.rows);
-      Buffer.contents b
+        (fun (k, v) ->
+          Buffer.add_string b
+            (Printf.sprintf "%d,%s,%d\n" ts (Export.csv_field k) v))
+        pairs)
+    (List.rev p.rows);
+  Buffer.contents b

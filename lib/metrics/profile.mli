@@ -5,34 +5,25 @@
     [(now, now+c]].  The profile is a pure function of the deterministic
     schedule, so same-seed runs produce byte-identical output.
 
-    The profiler is per-domain (ambient through DLS, like the tracer)
-    and meant for [--jobs 1] runs. *)
+    A profiler is a plain value.  [Trace.start_profile] installs one as
+    its domain's profiler, which the engine then charges; it stays
+    readable after [Trace.stop_profile] removes it. *)
 
-val live : int Atomic.t
-(** Number of running profilers across all domains.  Instrumentation
-    sites check [Atomic.get live > 0] before calling {!charge}, so the
-    disabled cost is one load and branch. *)
+type t
 
-val on : unit -> bool
+val create : ?period:int -> ?ts_period:int -> unit -> t
+(** [create ()] is an empty profiler.  [period] (default 10_000) is the
+    sampling grid in virtual cycles; [ts_period] (default 0 = off)
+    additionally records a full metrics snapshot every [ts_period]
+    cycles for {!timeseries_csv}. *)
 
-val start : ?period:int -> ?ts_period:int -> unit -> unit
-(** [start ()] installs a fresh profiler for this domain.  [period]
-    (default 10_000) is the sampling grid in virtual cycles;
-    [ts_period] (default 0 = off) additionally records a full metrics
-    snapshot every [ts_period] cycles for {!timeseries_csv}. *)
+val charge : t -> now:int -> cycles:int -> fiber:string -> label:string -> unit
+(** Credit the span [[now, now+cycles)] of [fiber] doing [label]. *)
 
-val stop : unit -> unit
-(** Stops sampling; accumulated data stays readable until the next
-    {!start}. *)
-
-val charge : now:int -> cycles:int -> fiber:string -> label:string -> unit
-(** Credit the span [[now, now+cycles)] of [fiber] doing [label].
-    No-op when no profiler is installed in this domain. *)
-
-val folded : unit -> string
+val folded : t -> string
 (** Folded-stack output ("fiber;label count" lines, sorted), compatible
     with flamegraph.pl / speedscope. *)
 
-val timeseries_csv : unit -> string
+val timeseries_csv : t -> string
 (** Long-format CSV ([cycles,key,value]) of the periodic snapshots,
     with RFC 4180 field escaping. *)

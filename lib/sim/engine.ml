@@ -238,8 +238,8 @@ let cpu = function User -> User_cpu | Sys -> Sys_cpu
    accounting: the fiber's user, sys or idle total and, when labelled,
    its label; then the tracer (a span per labelled CPU charge, idle wait
    and blocked interval) and the profiler (a sample per span, unlabelled
-   CPU work under its category's name).  Each observer costs one load
-   and branch while off. *)
+   CPU work under its category's name).  Both observers together cost one
+   load and branch while off. *)
 let book t ctx span label ~ts c =
   (match span with
   | User_cpu -> ctx.user <- ctx.user + c
@@ -254,14 +254,18 @@ let book t ctx span label ~ts c =
     | Idle, _ -> "idle"
     | Blocked, _ -> "blocked"
   in
-  (if Atomic.get Trace.live_tracers > 0 then
-     match (Trace.current (), span, label) with
-     | None, _, _ | Some _, (User_cpu | Sys_cpu), None -> ()
-     | Some tr, _, _ ->
-         Trace.span tr ~ts:(Int64.of_int ts) ~dur:(Int64.of_int c)
-           ~core:ctx.core ~fiber:ctx.fid ~cat:"engine" name);
-  if Atomic.get Metrics.Profile.live > 0 then
-    Metrics.Profile.charge ~now:ts ~cycles:c ~fiber:ctx.name ~label:name
+  if Atomic.get Trace.live > 0 then begin
+    let o = Trace.observers () in
+    (match (o.tracer, span, label) with
+    | None, _, _ | Some _, (User_cpu | Sys_cpu), None -> ()
+    | Some tr, _, _ ->
+        Trace.span tr ~ts:(Int64.of_int ts) ~dur:(Int64.of_int c)
+          ~core:ctx.core ~fiber:ctx.fid ~cat:"engine" name);
+    match o.profiler with
+    | Some p ->
+        Metrics.Profile.charge p ~now:ts ~cycles:c ~fiber:ctx.name ~label:name
+    | None -> ()
+  end
 
 let schedule t ~at thunk =
   let at = if at < t.now then t.now else at in
@@ -287,7 +291,7 @@ let run_fiber t ctx f =
       retc =
         (fun () ->
           if not ctx.daemon then t.live <- t.live - 1;
-          if Atomic.get Trace.live_tracers > 0 then
+          if Atomic.get Trace.live > 0 then
             match Trace.current () with
             | Some tr ->
                 Trace.instant tr ~ts:(Int64.of_int t.now) ~core:ctx.core
@@ -349,7 +353,7 @@ let spawn t ?(name = "fiber") ?(core = 0) ?(daemon = false) f =
   in
   Metrics.Registry.incr t.m_spawns;
   if not daemon then t.live <- t.live + 1;
-  (if Atomic.get Trace.live_tracers > 0 then
+  (if Atomic.get Trace.live > 0 then
      match Trace.current () with
      | Some tr ->
          Trace.declare_fiber tr ~fiber:ctx.fid ~core:ctx.core ~name:ctx.name;

@@ -13,7 +13,7 @@ let emit_instant ~cat ~value name =
   | _ -> ()
 
 let[@inline] instant ?(cat = "sim") ?value name =
-  if Atomic.get Trace.live_tracers > 0 then emit_instant ~cat ~value name
+  if Atomic.get Trace.live > 0 then emit_instant ~cat ~value name
 
 let emit_instant_on_core ~core ~cat ~value name =
   match (Trace.current (), fiber_ctx ()) with
@@ -22,7 +22,7 @@ let emit_instant_on_core ~core ~cat ~value name =
   | _ -> ()
 
 let[@inline] instant_on_core ~core ?(cat = "sim") ?value name =
-  if Atomic.get Trace.live_tracers > 0 then emit_instant_on_core ~core ~cat ~value name
+  if Atomic.get Trace.live > 0 then emit_instant_on_core ~core ~cat ~value name
 
 let emit_counter ~cat ~value name =
   match (Trace.current (), fiber_ctx ()) with
@@ -31,9 +31,9 @@ let emit_counter ~cat ~value name =
   | _ -> ()
 
 let[@inline] counter ?(cat = "sim") name value =
-  if Atomic.get Trace.live_tracers > 0 then emit_counter ~cat ~value name
+  if Atomic.get Trace.live > 0 then emit_counter ~cat ~value name
 
-let span_start () = if Atomic.get Trace.live_tracers > 0 then Engine.now_f () else 0L
+let span_start () = if Atomic.get Trace.live > 0 then Engine.now_f () else 0L
 
 let emit_span_since ~cat ~value ~t0 name =
   match (Trace.current (), fiber_ctx ()) with
@@ -44,4 +44,4 @@ let emit_span_since ~cat ~value ~t0 name =
   | _ -> ()
 
 let[@inline] span_since ?(cat = "sim") ?value ~t0 name =
-  if Atomic.get Trace.live_tracers > 0 then emit_span_since ~cat ~value ~t0 name
+  if Atomic.get Trace.live > 0 then emit_span_since ~cat ~value ~t0 name

@@ -1,5 +1,5 @@
 (* Human-readable rendering of an aqmetrics snapshot, for
-   `aquila_cli report`.  Reuses the Table_fmt layout so metric tables
+   `aquila_cli run --report`.  Reuses the Table_fmt layout so metric tables
    line up with the experiment tables they appear next to. *)
 
 let kind_str = function

@@ -10,9 +10,10 @@
 
     The library is clock-agnostic and has no dependency on the simulator;
     [Sim.Probe] and the instrumentation hooks around the stack feed it.
-    The ambient-tracer API ({!start}/{!stop}/{!on}) gates every emitter
-    behind a single branch, so disabled tracing costs one load+branch per
-    probe site. *)
+    The ambient API ({!start}/{!stop}/{!on}) gates every emitter behind a
+    single branch, so disabled tracing costs one load+branch per probe
+    site; the same gate and domain-local slot carry the sampling
+    profiler ({!start_profile}). *)
 
 type kind = Span | Instant | Counter
 
@@ -24,30 +25,48 @@ val create : ?capacity_per_core:int -> ?max_cores:int -> unit -> t
     4096 events, [max_cores] to 64; rings are allocated whole on a core's
     first event).  Core ids outside [0, max_cores) are clamped. *)
 
-(** {1 Ambient tracer}
+(** {1 Ambient observers}
 
-    Instrumentation across the stack emits into one globally installed
-    tracer so call sites need no plumbing. *)
+    Instrumentation across the stack emits into the tracer and the
+    profiler installed in the running domain, so call sites need no
+    plumbing.  Both sit in one domain-local record behind one gate. *)
 
-val live_tracers : int Atomic.t
-(** Process-wide count of installed ambient tracers.  Hot probe sites may
-    read it directly ([Atomic.get live_tracers > 0] — one plain load on
-    x86) instead of calling {!on}; without cross-module inlining the
-    extra call costs more than the check itself. *)
+val live : int Atomic.t
+(** Process-wide count of domains holding a tracer or a profiler.  Hot
+    probe sites may read it directly ([Atomic.get live > 0] — one plain
+    load on x86) instead of calling {!on}; without cross-module inlining
+    the extra call costs more than the check itself. *)
 
 val on : unit -> bool
-(** [on ()] is [true] when an ambient tracer is installed and enabled.
-    Probe sites must check this first; it is the whole disabled path. *)
+(** [on ()] is [true] when some domain holds an observer.  Probe sites
+    must check this first; it is the whole disabled path.  A site that
+    passes it still finds no tracer in a profile-only run. *)
+
+type observers = private {
+  mutable tracer : t option;
+  mutable profiler : Metrics.Profile.t option;
+}
+
+val observers : unit -> observers
+(** This domain's tracer and profiler. *)
 
 val start : ?capacity_per_core:int -> ?max_cores:int -> unit -> t
-(** [start ()] installs a fresh tracer as the ambient one and enables
+(** [start ()] installs a fresh tracer as this domain's and enables
     tracing.  Returns the tracer (also retrievable via {!current}). *)
 
 val stop : unit -> t option
-(** [stop ()] disables tracing and uninstalls the ambient tracer,
-    returning it (if any) for export. *)
+(** [stop ()] uninstalls this domain's tracer, returning it (if any) for
+    export. *)
 
 val current : unit -> t option
+
+val start_profile : Metrics.Profile.t -> unit
+(** Installs [p] as this domain's profiler: the engine charges it with
+    every span it books until {!stop_profile}. *)
+
+val stop_profile : unit -> unit
+(** Uninstalls this domain's profiler; its data stays readable through
+    the value. *)
 
 (** {1 Emission}
 

@@ -180,6 +180,30 @@ let scenario_stacks_are_independent () =
   Alcotest.(check bool) "separate stores" true
     (s1.Experiments.Scenario.a_store != s2.Experiments.Scenario.a_store)
 
+(* The Figure 7/8 cells sum exactly the labels they name, across fibers:
+   a label's prefix no longer pulls in its longer namesakes. *)
+let cycles_per_op_sums_exact_labels () =
+  let eng = Sim.Engine.create () in
+  let fiber charges =
+    Sim.Engine.spawn eng (fun () ->
+        List.iter
+          (fun (label, c) -> Sim.Engine.delay ~cat:Sim.Engine.Sys ~label c)
+          charges)
+  in
+  let ctxs =
+    [
+      fiber [ ("io_device", 100L); ("io_kernel", 50L); ("kv_get", 200L) ];
+      fiber [ ("io_device", 20L); ("kv_get_bloom", 30L) ];
+    ]
+  in
+  Sim.Engine.run eng;
+  let per_op labels ops = Experiments.Scenario.cycles_per_op ctxs labels ops in
+  Alcotest.(check (float 0.)) "one label, two fibers" 60. (per_op [ "io_device" ] 2);
+  Alcotest.(check (float 0.)) "two labels" 85. (per_op [ "io_device"; "io_kernel" ] 2);
+  Alcotest.(check (float 0.)) "exact, not a prefix" 200. (per_op [ "kv_get" ] 1);
+  Alcotest.(check (float 0.)) "both named" 230. (per_op [ "kv_get"; "kv_get_bloom" ] 1);
+  Alcotest.(check (float 0.)) "never charged" 0. (per_op [ "io_" ] 1)
+
 let () =
   Alcotest.run "experiments"
     [
@@ -199,7 +223,11 @@ let () =
             fig6_graph_shared_across_domains;
         ] );
       ( "scenario",
-        [ Alcotest.test_case "independence" `Quick scenario_stacks_are_independent ] );
+        [
+          Alcotest.test_case "independence" `Quick scenario_stacks_are_independent;
+          Alcotest.test_case "cycles per op sums exact labels" `Quick
+            cycles_per_op_sums_exact_labels;
+        ] );
       ( "policy ablation",
         [
           Alcotest.test_case "--jobs parity per policy" `Quick

@@ -159,33 +159,38 @@ let exporter_formats () =
 
 let profiler_grid_math () =
   fresh ();
-  Metrics.Profile.start ~period:10 ();
-  Alcotest.(check bool) "on" true (Metrics.Profile.on ());
+  let p = Metrics.Profile.create ~period:10 () in
+  Trace.start_profile p;
+  Alcotest.(check bool) "on" true (Trace.on ());
   (* (0, 25] crosses grid points 10 and 20 -> 2 samples *)
-  Metrics.Profile.charge ~now:0 ~cycles:25 ~fiber:"f" ~label:"a";
+  Metrics.Profile.charge p ~now:0 ~cycles:25 ~fiber:"f" ~label:"a";
   (* (25, 30] crosses 30 -> 1 sample *)
-  Metrics.Profile.charge ~now:25 ~cycles:5 ~fiber:"f" ~label:"b";
+  Metrics.Profile.charge p ~now:25 ~cycles:5 ~fiber:"f" ~label:"b";
   (* (30, 39] crosses nothing *)
-  Metrics.Profile.charge ~now:30 ~cycles:9 ~fiber:"f" ~label:"c";
-  Metrics.Profile.stop ();
-  Alcotest.(check bool) "off" false (Metrics.Profile.on ());
+  Metrics.Profile.charge p ~now:30 ~cycles:9 ~fiber:"f" ~label:"c";
+  Trace.stop_profile ();
+  Alcotest.(check bool) "off" false (Trace.on ());
   Alcotest.(check string) "folded stacks" "f;a 2\nf;b 1\n"
-    (Metrics.Profile.folded ());
-  (* stop is idempotent and a restart samples again (the stopped
-     profiler stays in domain-local storage for reading, so the
-     start/stop accounting must not key off the slot's presence) *)
-  Metrics.Profile.stop ();
-  Metrics.Profile.start ~period:10 ();
-  Alcotest.(check bool) "restarted" true (Metrics.Profile.on ());
-  Metrics.Profile.charge ~now:0 ~cycles:10 ~fiber:"g" ~label:"z";
-  Metrics.Profile.stop ();
-  Alcotest.(check string) "fresh profile" "g;z 1\n" (Metrics.Profile.folded ())
+    (Metrics.Profile.folded p);
+  (* stop is idempotent, and a restart with a fresh profiler samples
+     again while the stopped one stays readable *)
+  Trace.stop_profile ();
+  Alcotest.(check bool) "still off" false (Trace.on ());
+  let q = Metrics.Profile.create ~period:10 () in
+  Trace.start_profile q;
+  Alcotest.(check bool) "restarted" true (Trace.on ());
+  Metrics.Profile.charge q ~now:0 ~cycles:10 ~fiber:"g" ~label:"z";
+  Trace.stop_profile ();
+  Alcotest.(check string) "fresh profile" "g;z 1\n" (Metrics.Profile.folded q);
+  Alcotest.(check string) "stopped profile kept" "f;a 2\nf;b 1\n"
+    (Metrics.Profile.folded p)
 
 let profiler_engine_integration () =
   fresh ();
   let run () =
     Metrics.Registry.reset ();
-    Metrics.Profile.start ~period:1000 ();
+    let p = Metrics.Profile.create ~period:1000 () in
+    Trace.start_profile p;
     let eng = Sim.Engine.create () in
     for i = 0 to 3 do
       ignore
@@ -198,8 +203,8 @@ let profiler_engine_integration () =
              done))
     done;
     Sim.Engine.run eng;
-    Metrics.Profile.stop ();
-    (Metrics.Profile.folded (), Metrics.Registry.value "engine_events")
+    Trace.stop_profile ();
+    (Metrics.Profile.folded p, Metrics.Registry.value "engine_events")
   in
   let f1, ev1 = run () in
   let f2, ev2 = run () in

@@ -159,30 +159,6 @@ let histogram_merge_reset () =
   Stats.Histogram.reset b;
   checki "reset" 0 (Stats.Histogram.count b)
 
-(* ---- Breakdown ---- *)
-
-let breakdown_groups () =
-  let eng = Sim.Engine.create () in
-  let ctx =
-    Sim.Engine.spawn eng (fun () ->
-        Sim.Engine.delay ~cat:Sim.Engine.Sys ~label:"io_device" 100L;
-        Sim.Engine.delay ~cat:Sim.Engine.Sys ~label:"io_kernel" 50L;
-        Sim.Engine.delay ~cat:Sim.Engine.User ~label:"kv_get" 200L)
-  in
-  Sim.Engine.run eng;
-  let bd = Stats.Breakdown.create () in
-  Stats.Breakdown.absorb bd ctx;
-  Alcotest.(check int64) "exact label" 100L (Stats.Breakdown.label bd "io_device");
-  Alcotest.(check int64) "prefix group" 150L (Stats.Breakdown.group bd ~prefixes:[ "io_" ]);
-  Alcotest.(check int64) "user total" 200L (Stats.Breakdown.user bd);
-  Alcotest.(check int64) "sys total" 150L (Stats.Breakdown.sys bd);
-  (match Stats.Breakdown.labels bd with
-  | (top, v) :: _ ->
-      Alcotest.(check string) "sorted desc" "kv_get" top;
-      Alcotest.(check int64) "top value" 200L v
-  | [] -> Alcotest.fail "no labels");
-  Alcotest.(check (float 0.001)) "per op" 75.0 (Stats.Breakdown.per_op 150L 2)
-
 (* ---- Table_fmt ---- *)
 
 let formatting () =
@@ -213,6 +189,5 @@ let () =
           QCheck_alcotest.to_alcotest histogram_merge_agrees_with_merge_into;
           Alcotest.test_case "merge/reset" `Quick histogram_merge_reset;
         ] );
-      ("breakdown", [ Alcotest.test_case "groups" `Quick breakdown_groups ]);
       ("table_fmt", [ Alcotest.test_case "formatting" `Quick formatting ]);
     ]
