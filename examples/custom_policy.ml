@@ -49,7 +49,7 @@ let run { label; tweak; advice; host_access } =
          let r =
            Aquila.Context.mmap s.Experiments.Scenario.a_ctx f ~npages:pages ()
          in
-         Aquila.Context.madvise s.Experiments.Scenario.a_ctx r advice;
+         Aquila.Context.madvise r advice;
          let t0 = Sim.Engine.now_f () in
          (* three full sequential scans: the cache holds 1/4 of the file *)
          for _ = 1 to 3 do

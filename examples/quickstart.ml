@@ -46,7 +46,8 @@ let () =
         Aquila.Context.msync ctx region;
 
         Printf.printf "accesses: %d, faults: %d\n"
-          (Aquila.Context.accesses ctx) (Aquila.Context.faults ctx))
+          (Metrics.Registry.value "aquila_mem_accesses")
+          (Aquila.Context.faults ctx))
   in
   Sim.Engine.run eng;
 

@@ -34,11 +34,9 @@ type t = {
   ccache : Mcache.Dram_cache.t;
   vma : Vma.t;
   dom : Hw.Domain_x.t;
-  sys : Syscalls.t;
   mutable next_vpn : int;
   mutable next_fid : int;
   mutable thread_cores : int list;
-  mutable s_accesses : int;
   mutable s_faults : int;
   m_accesses : Metrics.Registry.cell;
   m_faults : Metrics.Registry.cell;
@@ -55,11 +53,9 @@ let create ?(costs = Hw.Costs.default) ?machine cfg =
     ccache = Mcache.Dram_cache.create ~costs ~machine ~page_table:pt cfg.cache;
     vma = Vma.create costs;
     dom = cfg.domain;
-    sys = Syscalls.create ();
     next_vpn = 256; (* leave a null guard region *)
     next_fid = 1;
     thread_cores = [];
-    s_accesses = 0;
     s_faults = 0;
     m_accesses =
       Metrics.Registry.counter ~help:"page-granular memory accesses"
@@ -71,7 +67,6 @@ let create ?(costs = Hw.Costs.default) ?machine cfg =
 
 let costs t = t.ccosts
 let cache t = t.ccache
-let syscalls t = t.sys
 
 let enter_thread t =
   let ctx = Sim.Engine.self () in
@@ -99,7 +94,7 @@ let file_id f = f.fid
 let mmap t file ?(file_page0 = 0) ~npages () =
   if npages <= 0 || file_page0 < 0 || file_page0 + npages > file.size_pages then
     invalid_arg "Context.mmap: range outside file";
-  Syscalls.intercepted t.sys t.ccosts "mmap";
+  Syscalls.intercepted "mmap";
   let vstart = t.next_vpn in
   t.next_vpn <- t.next_vpn + npages + 1 (* guard page *);
   let area =
@@ -126,7 +121,7 @@ let invalidate t ~core ~vpns buf =
        ~core ~targets:t.thread_cores ~vpns)
 
 let munmap t region =
-  Syscalls.intercepted t.sys t.ccosts "munmap";
+  Syscalls.intercepted "munmap";
   let _, cost = Vma.remove t.vma ~vstart:region.vstart in
   let buf = Sim.Costbuf.create () in
   Sim.Costbuf.add buf "vma" cost;
@@ -144,12 +139,12 @@ let munmap t region =
   invalidate t ~core ~vpns:!vpns buf;
   Sim.Costbuf.charge buf
 
-let madvise t region advice =
-  Syscalls.intercepted t.sys t.ccosts "madvise";
+let madvise region advice =
+  Syscalls.intercepted "madvise";
   region.area.Vma.advice <- advice
 
 let mprotect t region ~writable =
-  Syscalls.intercepted t.sys t.ccosts "mprotect";
+  Syscalls.intercepted "mprotect";
   let buf = Sim.Costbuf.create () in
   let core = current_core () in
   let vpns = ref [] in
@@ -171,12 +166,12 @@ let mprotect t region ~writable =
   Sim.Costbuf.charge buf
 
 let msync t region =
-  Syscalls.intercepted t.sys t.ccosts "msync";
+  Syscalls.intercepted "msync";
   Mcache.Dram_cache.msync t.ccache ~core:(current_core ())
     ~file:region.rfile.fid ()
 
 let mremap t region ~npages =
-  Syscalls.intercepted t.sys t.ccosts "mremap";
+  Syscalls.intercepted "mremap";
   munmap t region;
   mmap t region.rfile ~file_page0:region.file_page0 ~npages ()
 
@@ -203,7 +198,6 @@ let rec touch_page ?(attempt = 0) t region ~page ~write buf =
   if attempt > 100 then failwith "Aquila: access cannot make progress (thrash)";
   let vpn = region.vstart + page in
   let core = current_core () in
-  t.s_accesses <- t.s_accesses + 1;
   Metrics.Registry.incr t.m_accesses;
   match Hw.Mmu.access t.cmachine t.ccosts t.pt ~core ~vpn ~write buf with
   | pfn when pfn <> Hw.Mmu.no_frame -> pfn
@@ -230,7 +224,7 @@ let rec touch_page ?(attempt = 0) t region ~page ~write buf =
           with Fault.Sigbus _ as e ->
             (* media error under the mapping: deliver the signal to the
                application, exactly like a kernel mmap would *)
-            Syscalls.record_sigbus t.sys;
+            Syscalls.record_sigbus ();
             Sim.Probe.span_since ~cat:"aquila"
               ~value:(if write then 1L else 0L)
               ~t0:ft0 "fault_sigbus";
@@ -289,7 +283,7 @@ let write ?len t region ~off ~src =
   copy t region ~write:true ~off ~len src
 
 let resize_cache t ~frames =
-  Syscalls.forwarded t.sys t.ccosts t.dom "cache_resize";
+  Syscalls.forwarded t.ccosts t.dom "cache_resize";
   let current = Mcache.Dram_cache.frames_total t.ccache in
   if frames > current then begin
     let added = Mcache.Dram_cache.grow t.ccache ~frames:(frames - current) in
@@ -305,6 +299,5 @@ let resize_cache t ~frames =
          ~len:bytes)
   end
 
-let accesses t = t.s_accesses
 let faults t = t.s_faults
 let ept_faults t = Hw.Ept.faults t.ept

@@ -38,7 +38,6 @@ val create : ?costs:Hw.Costs.t -> ?machine:Hw.Machine.t -> config -> t
 
 val costs : t -> Hw.Costs.t
 val cache : t -> Mcache.Dram_cache.t
-val syscalls : t -> Syscalls.t
 
 val enter_thread : t -> unit
 (** [enter_thread t] switches the calling fiber into Aquila mode (the
@@ -67,7 +66,7 @@ val munmap : t -> region -> unit
 (** [munmap t r] removes the mapping (pages may stay cached), tearing down
     PTEs with one batched shootdown. *)
 
-val madvise : t -> region -> Vma.advice -> unit
+val madvise : region -> Vma.advice -> unit
 
 val mprotect : t -> region -> writable:bool -> unit
 (** [mprotect t r ~writable:false] write-protects every mapped page of the
@@ -111,10 +110,14 @@ val resize_cache : t -> frames:int -> unit
 (** [resize_cache t ~frames] grows or shrinks the DRAM cache to [frames]
     through the hypervisor (vmcall + EPT updates, Section 3.5). *)
 
-(** {1 Statistics} *)
+(** {1 Statistics}
 
-val accesses : t -> int
-(** Page-granular data-plane accesses (hits + faults). *)
+    Page-granular data-plane accesses (hits and faults) are counted in
+    the [aquila_mem_accesses] registry family. *)
 
 val faults : t -> int
+(** Faults taken by this context, also counted in [aquila_page_faults];
+    kept per context because a registry series sums every context of a
+    domain. *)
+
 val ept_faults : t -> int

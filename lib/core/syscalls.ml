@@ -1,28 +1,10 @@
-type t = {
-  mutable nintercepted : int;
-  mutable nforwarded : int;
-  mutable nsigbus : int;
-  counts : (string, int) Hashtbl.t;
-}
-
-let create () =
-  { nintercepted = 0; nforwarded = 0; nsigbus = 0; counts = Hashtbl.create 16 }
-
 let dispatch_cost = 80L (* handler dispatch: a function call, no domain switch *)
 
-let bump t name =
-  let c = try Hashtbl.find t.counts name with Not_found -> 0 in
-  Hashtbl.replace t.counts name (c + 1)
-
-let intercepted t _costs name =
-  t.nintercepted <- t.nintercepted + 1;
-  bump t name;
+let intercepted name =
   if Trace.on () then Sim.Probe.instant ~cat:"syscall" name;
   Sim.Engine.delay ~cat:Sim.Engine.Sys ~label:"syscall_dispatch" dispatch_cost
 
-let forwarded t costs dom name =
-  t.nforwarded <- t.nforwarded + 1;
-  bump t name;
+let forwarded costs dom name =
   if Trace.on () then begin
     Sim.Probe.instant ~cat:"syscall" name;
     (* forwarding from non-root ring 0 is a vmcall/vmexit round trip *)
@@ -33,12 +15,5 @@ let forwarded t costs dom name =
   Sim.Engine.delay ~cat:Sim.Engine.Sys ~label:"syscall_forward"
     (Hw.Domain_x.syscall_cost costs dom)
 
-let record_sigbus t =
-  t.nsigbus <- t.nsigbus + 1;
-  bump t "SIGBUS";
+let record_sigbus () =
   if Trace.on () then Sim.Probe.instant ~cat:"syscall" "SIGBUS"
-
-let intercepted_count t = t.nintercepted
-let forwarded_count t = t.nforwarded
-let sigbus_count t = t.nsigbus
-let by_name t = Hashtbl.fold (fun k v acc -> (k, v) :: acc) t.counts []

@@ -6,6 +6,7 @@ let frames = 2048
 let threads = 16
 
 let micro ~tweak ~title_row =
+  let sent0 = Hw.Ipi.shootdowns_sent () in
   let eng = Sim.Engine.create () in
   let sys =
     Microbench.Aq (Scenario.make_aquila ~tweak ~frames ~dev:Scenario.Pmem ())
@@ -18,25 +19,21 @@ let micro ~tweak ~title_row =
     title_row;
     Stats.Table_fmt.ops_per_sec r.Microbench.throughput_ops_s;
     string_of_int r.Microbench.evictions;
-    Printf.sprintf "%d" (Hw.Ipi.shootdowns_sent ());
+    Printf.sprintf "%d" (Hw.Ipi.shootdowns_sent () - sent0);
   ]
 
 let tlb_and_batching () =
-  Hw.Ipi.reset_counters ();
   let base = micro ~tweak:Fun.id ~title_row:"default (batched, vmexit-send IPI)" in
-  Hw.Ipi.reset_counters ();
   let posted =
     micro
       ~tweak:(fun c -> { c with Mcache.Dram_cache.ipi_mode = Hw.Ipi.Posted })
       ~title_row:"posted IPIs (no send-side vmexit)"
   in
-  Hw.Ipi.reset_counters ();
   let unbatched =
     micro
       ~tweak:(fun c -> { c with Mcache.Dram_cache.evict_batch = 1 })
       ~title_row:"per-page eviction + shootdown (batch=1)"
   in
-  Hw.Ipi.reset_counters ();
   let no_freelist_batch =
     micro
       ~tweak:(fun c ->
@@ -98,7 +95,7 @@ let readahead () =
                ~translate:(Blobstore.Store.translate blob) ~size_pages:pages
            in
            let r = Aquila.Context.mmap s.Scenario.a_ctx f ~npages:pages () in
-           Aquila.Context.madvise s.Scenario.a_ctx r advice;
+           Aquila.Context.madvise r advice;
            let t0 = Sim.Engine.now_f () in
            for p = 0 to pages - 1 do
              Aquila.Context.touch s.Scenario.a_ctx r ~page:p ~write:false

@@ -1,11 +1,7 @@
 type send_mode = Posted | Vmexit_send | Kernel_ipi
 
-(* Domain-local so parallel experiment fan-out keeps counters isolated. *)
-let sent_key = Domain.DLS.new_key (fun () -> ref 0)
-let sent () = Domain.DLS.get sent_key
-
-(* Metric cells are domain-local too; shootdowns are far off the hot
-   path, so the DLS lookup per batch is fine. *)
+(* Metric cells are domain-local; shootdowns are far off the hot path,
+   so the DLS lookup per batch is fine. *)
 let m_shoot_key : Metrics.Registry.cell Domain.DLS.key =
   Domain.DLS.new_key (fun () ->
       Metrics.Registry.counter ~help:"TLB shootdown batches"
@@ -31,7 +27,6 @@ let shootdown m (c : Costs.t) ~mode ~src ~targets ~vpns =
   match targets with
   | [] -> 0L
   | _ :: _ ->
-      incr (sent ());
       Metrics.Registry.incr (Domain.DLS.get m_shoot_key);
       Metrics.Registry.add (Domain.DLS.get m_ipi_key) (List.length targets);
       let npages = List.length vpns in
@@ -79,5 +74,4 @@ let invalidate m c ~mode ~core ~targets ~vpns =
       in
       Int64.add local (shootdown m c ~mode ~src:core ~targets ~vpns)
 
-let shootdowns_sent () = !(sent ())
-let reset_counters () = sent () := 0
+let shootdowns_sent () = Metrics.Registry.get (Domain.DLS.get m_shoot_key)

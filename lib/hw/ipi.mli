@@ -46,6 +46,6 @@ val invalidate :
     initiator's cycles.  An empty [vpns] does nothing and returns 0. *)
 
 val shootdowns_sent : unit -> int
-(** Global count of shootdown batches (for experiment reporting). *)
-
-val reset_counters : unit -> unit
+(** Shootdown batches sent by this domain: its cell of the
+    [hw_tlb_shootdowns] registry family.  {!Metrics.Registry.reset}
+    zeroes it; callers that must not reset take a before/after delta. *)

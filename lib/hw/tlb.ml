@@ -1,8 +1,6 @@
 type t = {
   slots : int array; (* -1 = empty; direct-mapped on vpn *)
   capacity : int;
-  mutable hits : int;
-  mutable misses : int;
   mutable invals : int;
   (* all per-core TLBs share the same (unlabelled) metric series *)
   m_hits : Metrics.Registry.cell;
@@ -14,8 +12,6 @@ let create ?(capacity = 1536) () =
   {
     slots = Array.make capacity (-1);
     capacity;
-    hits = 0;
-    misses = 0;
     invals = 0;
     m_hits = Metrics.Registry.counter ~help:"TLB hits" "hw_tlb_hits";
     m_misses =
@@ -27,12 +23,10 @@ let slot_of t vpn = vpn mod t.capacity
 let access t (c : Costs.t) ~vpn =
   let s = slot_of t vpn in
   if t.slots.(s) = vpn then begin
-    t.hits <- t.hits + 1;
     Metrics.Registry.incr t.m_hits;
     0L
   end
   else begin
-    t.misses <- t.misses + 1;
     Metrics.Registry.incr t.m_misses;
     t.slots.(s) <- vpn;
     if Trace.on () then Sim.Probe.instant ~cat:"hw" "tlb_miss_walk";
@@ -78,6 +72,4 @@ let flush t (c : Costs.t) =
   t.invals <- t.invals + 1;
   c.tlb_full_flush
 
-let hits t = t.hits
-let misses t = t.misses
 let invalidations t = t.invals

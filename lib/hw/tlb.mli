@@ -13,7 +13,9 @@ val create : ?capacity:int -> unit -> t
 
 val access : t -> Costs.t -> vpn:int -> int64
 (** [access t c ~vpn] looks up [vpn]; on a miss, charges a page-table walk
-    and installs the translation.  Returns the cycle cost (0 on a hit). *)
+    and installs the translation.  Returns the cycle cost (0 on a hit).
+    Hits and misses are counted in the [hw_tlb_hits] and [hw_tlb_misses]
+    registry families, which every TLB shares. *)
 
 val invalidate_pages : t array -> vpns:int list -> unit
 (** [invalidate_pages tlbs ~vpns] drops, in every TLB of [tlbs], each
@@ -29,6 +31,4 @@ val invalidate_local : t -> Costs.t -> vpn:int -> int64
 val flush : t -> Costs.t -> int64
 (** [flush t c] empties the TLB and returns the full-flush cost. *)
 
-val hits : t -> int
-val misses : t -> int
 val invalidations : t -> int

@@ -40,12 +40,8 @@ type t = {
   flusher_waitq : Sim.Sync.Waitq.t;
   mutable flusher : (int * int) option; (* (hi, lo) watermarks *)
   mutable shoot_cores : int list;
-  mutable s_hits : int;
-  mutable s_misses : int;
   mutable s_evictions : int;
   mutable s_read_ios : int;
-  mutable s_wb_ios : int;
-  mutable s_sigbus : int;
   m_hits : Metrics.Registry.cell;
   m_misses : Metrics.Registry.cell;
   m_evictions : Metrics.Registry.cell;
@@ -74,12 +70,8 @@ let create ~costs ~machine ~page_table cfg =
       flusher_waitq = Sim.Sync.Waitq.create ();
       flusher = None;
       shoot_cores = [];
-      s_hits = 0;
-      s_misses = 0;
       s_evictions = 0;
       s_read_ios = 0;
-      s_wb_ios = 0;
-      s_sigbus = 0;
       m_hits =
         Metrics.Registry.counter ~help:"Linux page-cache hits"
           "linux_cache_hits";
@@ -156,9 +148,7 @@ let write_back t pairs =
             (meta_of t (Pagekey.file_of key)).translate (Pagekey.page_of key))
           ~access:(fun file -> (meta_of t file).access)
           ~data:(fun (_, (fr : frame)) -> fr.data)
-          ~written:(fun _ ->
-            t.s_wb_ios <- t.s_wb_ios + 1;
-            Metrics.Registry.incr t.m_wb_ios)
+          ~written:(fun _ -> Metrics.Registry.incr t.m_wb_ios)
           pairs
       in
       failed
@@ -426,7 +416,6 @@ let set_dirty t key (fr : frame) =
 let rec ensure_resident t ~core ~key =
   match lookup t key with
   | Some fr ->
-      t.s_hits <- t.s_hits + 1;
       Metrics.Registry.incr t.m_hits;
       if Trace.on () then Sim.Probe.instant ~cat:"linux" "hit";
       Dstruct.Clock_lru.touch t.lru fr.fno;
@@ -447,7 +436,6 @@ let rec ensure_resident t ~core ~key =
             with Fault.Io_error _ ->
               Hashtbl.remove t.inflight key;
               Sim.Sync.Ivar.fill iv ();
-              t.s_sigbus <- t.s_sigbus + 1;
               Metrics.Registry.incr t.m_sigbus;
               (match Fault.active () with
               | Some p -> Fault.note_sigbus p
@@ -460,7 +448,6 @@ let rec ensure_resident t ~core ~key =
           Sim.Probe.span_since ~cat:"linux" ~t0:f0 "fill";
           Hashtbl.remove t.inflight key;
           Sim.Sync.Ivar.fill iv ();
-          t.s_misses <- t.s_misses + 1;
           Metrics.Registry.incr t.m_misses;
           fr)
 
@@ -598,17 +585,7 @@ let stop_flusher t =
   t.flusher <- None;
   ignore (Sim.Sync.Waitq.signal t.flusher_waitq)
 
-let fault_hits t = t.s_hits
-let misses t = t.s_misses
 let evictions t = t.s_evictions
 let read_ios t = t.s_read_ios
-let writeback_ios t = t.s_wb_ios
-let sigbus_count t = t.s_sigbus
-
-let tree_lock_contended t =
-  Hashtbl.fold
-    (fun _ m acc -> Int64.add acc (Sim.Sync.Mutex.contended_cycles m.tree_lock))
-    t.files 0L
-
 
 let dirty_pages t = total_dirty t

@@ -67,18 +67,17 @@ val spawn_flusher : t -> eng:Sim.Engine.t -> ?hi:int -> ?lo:int -> ?core:int -> 
 
 val stop_flusher : t -> unit
 
-(** {1 Statistics} *)
+(** {1 Statistics}
 
-val fault_hits : t -> int
-val misses : t -> int
+    Hits, misses, write-back I/Os and faults delivered as
+    {!Fault.Sigbus} are counted in the [linux_cache_hits],
+    [linux_cache_misses], [linux_cache_wb_ios] and [linux_cache_sigbus]
+    registry families; a wait on a [tree_lock] is the waiter's blocked
+    time. *)
+
 val evictions : t -> int
+(** Frames reclaimed, also counted in [linux_cache_evictions]; kept per
+    cache because a registry series sums every cache of a domain. *)
+
 val read_ios : t -> int
-val writeback_ios : t -> int
-
-val sigbus_count : t -> int
-(** Unrecoverable fill reads delivered as {!Fault.Sigbus}. *)
-
-val tree_lock_contended : t -> int64
-(** Cycles lost waiting on per-file [tree_lock]s (summed). *)
-
 val dirty_pages : t -> int

@@ -6,7 +6,6 @@ type t = {
   core_queue_limit : int;
   move_batch : int;
   mutable count : int;
-  mutable nallocs : int;
   mutable nrefills : int;
 }
 
@@ -19,7 +18,6 @@ let create costs topo ?(core_queue_limit = 512) ?(move_batch = 256) () =
     core_queue_limit;
     move_batch;
     count = 0;
-    nallocs = 0;
     nrefills = 0;
   }
 
@@ -37,7 +35,6 @@ let move_batch_to_core t node core =
   n
 
 let alloc t ~core =
-  t.nallocs <- t.nallocs + 1;
   let c = t.costs in
   let cost = ref c.freelist_op in
   let cq = t.per_core.(core) in
@@ -94,5 +91,4 @@ let steal_any t =
   r
 
 let free_count t = t.count
-let allocs t = t.nallocs
 let refills t = t.nrefills

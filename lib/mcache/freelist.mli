@@ -37,6 +37,5 @@ val steal_any : t -> int option
     cache); no cost model, administrative path only. *)
 
 val free_count : t -> int
-val allocs : t -> int
 val refills : t -> int
 (** Number of batched level-1→level-2 refills performed. *)

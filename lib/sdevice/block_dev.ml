@@ -9,12 +9,6 @@ type t = {
   setup : int64;
   per_byte : float;
   cap : int64;
-  mutable nreads : int;
-  mutable nwrites : int;
-  mutable nread_errors : int;
-  mutable nwrite_errors : int;
-  mutable ntorn : int;
-  mutable nspikes : int;
   (* always-on aqmetrics cells, one series per device name *)
   m_reads : Metrics.Registry.cell;
   m_writes : Metrics.Registry.cell;
@@ -36,12 +30,6 @@ let create ?(queues = 1) ~name ~channels ~setup_cycles ~cycles_per_byte
     setup = setup_cycles;
     per_byte = cycles_per_byte;
     cap = capacity_bytes;
-    nreads = 0;
-    nwrites = 0;
-    nread_errors = 0;
-    nwrite_errors = 0;
-    ntorn = 0;
-    nspikes = 0;
     m_reads =
       Metrics.Registry.counter ~help:"read I/Os completed" ~labels
         "sdevice_reads";
@@ -115,7 +103,6 @@ let occupy t ~polling ~len ~spike =
 let spike_of t plan =
   let s = Fault.draw_spike plan in
   if s > 1 then begin
-    t.nspikes <- t.nspikes + 1;
     Metrics.Registry.incr t.m_spikes;
     if Trace.on () then Sim.Probe.instant ~cat:"fault" "latency_spike"
   end;
@@ -127,7 +114,6 @@ let read_result ?(polling = false) t ~addr ~len ~dst ~dst_off =
   | None ->
       occupy t ~polling ~len ~spike:1;
       Pagestore.read_bytes t.dstore ~addr ~len ~dst ~dst_off;
-      t.nreads <- t.nreads + 1;
       Metrics.Registry.incr t.m_reads;
       Ok ()
   | Some plan -> (
@@ -135,13 +121,11 @@ let read_result ?(polling = false) t ~addr ~len ~dst ~dst_off =
       occupy t ~polling ~len ~spike:(spike_of t plan);
       match Fault.draw_read plan ~dev:t.dname ~page ~count with
       | Some e ->
-          t.nread_errors <- t.nread_errors + 1;
           Metrics.Registry.incr t.m_errors;
           if Trace.on () then Sim.Probe.instant ~cat:"fault" "read_error";
           Error e
       | None ->
           Pagestore.read_bytes t.dstore ~addr ~len ~dst ~dst_off;
-          t.nreads <- t.nreads + 1;
           Metrics.Registry.incr t.m_reads;
           Ok ())
 
@@ -156,7 +140,6 @@ let write_result ?(polling = false) t ~addr ~src ~src_off ~len =
   | None ->
       occupy t ~polling ~len ~spike:1;
       Pagestore.write_bytes t.dstore ~addr ~src ~src_off ~len;
-      t.nwrites <- t.nwrites + 1;
       Metrics.Registry.incr t.m_writes;
       Ok ()
   | Some plan -> (
@@ -165,11 +148,9 @@ let write_result ?(polling = false) t ~addr ~src ~src_off ~len =
       match Fault.draw_write plan ~dev:t.dname ~page ~count with
       | Fault.W_ok ->
           Pagestore.write_bytes t.dstore ~addr ~src ~src_off ~len;
-          t.nwrites <- t.nwrites + 1;
           Metrics.Registry.incr t.m_writes;
           Ok ()
       | Fault.W_error e ->
-          t.nwrite_errors <- t.nwrite_errors + 1;
           Metrics.Registry.incr t.m_errors;
           if Trace.on () then Sim.Probe.instant ~cat:"fault" "write_error";
           Error e
@@ -180,9 +161,7 @@ let write_result ?(polling = false) t ~addr ~src ~src_off ~len =
           in
           if keep_bytes > 0 then
             Pagestore.write_bytes t.dstore ~addr ~src ~src_off ~len:keep_bytes;
-          t.nwrite_errors <- t.nwrite_errors + 1;
           Metrics.Registry.incr t.m_errors;
-          t.ntorn <- t.ntorn + 1;
           if Trace.on () then Sim.Probe.instant ~cat:"fault" "torn_write";
           Error Fault.Transient)
 
@@ -202,12 +181,5 @@ let write ?polling t ~addr ~src ~src_off ~len =
         (Fault.Io_error
            { dev = t.dname; write = true; page = fst (page_span addr len); error = e })
 
-let reads t = t.nreads
-let writes t = t.nwrites
-let read_errors t = t.nread_errors
-let write_errors t = t.nwrite_errors
-let torn_writes t = t.ntorn
-let latency_spikes t = t.nspikes
-let queued_cycles t = Sim.Sync.Resource.queued_cycles t.channels
 let queues t = Array.length t.q_subs
 let queue_submissions t = Array.copy t.q_subs

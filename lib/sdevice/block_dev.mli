@@ -8,7 +8,11 @@
 
     Time spent waiting for the device is charged to the calling fiber as
     idle time by default, or as [Sys] CPU time when [polling] (SPDK-style
-    completion polling burns the CPU). *)
+    completion polling burns the CPU).  Queueing for a channel is the
+    waiter's blocked time either way.  Completed I/Os, injected errors
+    and latency spikes are counted in the [sdevice_reads],
+    [sdevice_writes], [sdevice_errors] and [sdevice_spikes] registry
+    families, one series per device name. *)
 
 type t
 
@@ -66,28 +70,10 @@ val write_result :
     a torn-write injection persists a page-aligned prefix of the span
     and reports [Error Transient]. *)
 
-val reads : t -> int
-val writes : t -> int
-
-(** {1 Fault counters} — injected by the active {!Fault} plan. *)
-
-val read_errors : t -> int
-val write_errors : t -> int
-(** Failed I/Os (completed reads/writes are counted by {!reads}/{!writes}
-    only on success). *)
-
-val torn_writes : t -> int
-(** Writes that persisted only a prefix (a subset of {!write_errors}). *)
-
-val latency_spikes : t -> int
-
-val queued_cycles : t -> int64
-(** Total cycles requests spent queueing behind busy channels. *)
-
 val queues : t -> int
 
 val queue_submissions : t -> int array
 (** Per-submission-queue request counts ([queues] entries; sums to
-    {!reads} + {!writes} + failed I/Os).  The load-balance picture for
+    the device's completed and failed I/Os).  The load-balance picture for
     shard-partitioned drivers: balanced SQs mean the device sees the
     paper's per-core submission pattern rather than one hot queue. *)

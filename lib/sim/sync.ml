@@ -26,31 +26,18 @@ module Mutex = struct
   type t = {
     mutable locked : bool;
     waiters : (unit -> unit) Queue.t;
-    mutable contended : int64;
-    mutable acqs : int;
     acquire_cost : int64;
     mname : string;
   }
 
   let create ?(name = "mutex") ?(acquire_cost = 40L) () =
-    {
-      locked = false;
-      waiters = Queue.create ();
-      contended = 0L;
-      acqs = 0;
-      acquire_cost;
-      mname = name;
-    }
+    { locked = false; waiters = Queue.create (); acquire_cost; mname = name }
 
   let lock ?(cat = Engine.Sys) t =
-    t.acqs <- t.acqs + 1;
     Engine.delay ~cat t.acquire_cost;
-    if t.locked then begin
-      let t0 = Engine.now_f () in
-      Engine.suspend (fun resume -> Queue.add resume t.waiters);
-      (* Ownership was transferred to us by [unlock]. *)
-      t.contended <- Int64.add t.contended (Int64.sub (Engine.now_f ()) t0)
-    end
+    if t.locked then
+      (* Ownership is transferred to us by [unlock]. *)
+      Engine.suspend (fun resume -> Queue.add resume t.waiters)
     else t.locked <- true
 
   let unlock t =
@@ -69,8 +56,6 @@ module Mutex = struct
         unlock t;
         raise e
 
-  let acquisitions t = t.acqs
-  let contended_cycles t = t.contended
   let name t = t.mname
 end
 
@@ -79,23 +64,18 @@ module Resource = struct
     capacity : int;
     mutable used : int;
     waiters : (unit -> unit) Queue.t;
-    mutable queued : int64;
-    mutable done_ : int;
     rname : string;
   }
 
   let create ?(name = "resource") ~capacity () =
     if capacity <= 0 then invalid_arg "Resource.create: capacity";
-    { capacity; used = 0; waiters = Queue.create (); queued = 0L; done_ = 0; rname = name }
+    { capacity; used = 0; waiters = Queue.create (); rname = name }
 
   let acquire t =
     if t.used < t.capacity then t.used <- t.used + 1
-    else begin
-      let t0 = Engine.now_f () in
-      Engine.suspend (fun resume -> Queue.add resume t.waiters);
-      (* Slot was transferred to us by [release]. *)
-      t.queued <- Int64.add t.queued (Int64.sub (Engine.now_f ()) t0)
-    end
+    else
+      (* The slot is transferred to us by [release]. *)
+      Engine.suspend (fun resume -> Queue.add resume t.waiters)
 
   let release t =
     if t.used <= 0 then invalid_arg (t.rname ^ ": release without acquire");
@@ -103,15 +83,7 @@ module Resource = struct
     | Some resume -> resume () (* slot handed over; [used] unchanged *)
     | None -> t.used <- t.used - 1
 
-  let use t ~service =
-    acquire t;
-    Engine.idle_wait service;
-    t.done_ <- t.done_ + 1;
-    release t
-
   let in_use t = t.used
-  let queued_cycles t = t.queued
-  let completed t = t.done_
 end
 
 module Ivar = struct

@@ -1,9 +1,9 @@
 (** Synchronization primitives for simulated fibers.
 
-    All primitives are FIFO and deterministic.  Blocking time is charged to
-    the waiting fiber's idle counter by the engine, and lock contention is
-    additionally tracked per mutex so that experiments can report where
-    serialization happens (e.g. the Linux page-cache [tree_lock]). *)
+    All primitives are FIFO and deterministic.  They keep no wait counts
+    of their own: the engine books a blocked fiber's wait as its idle time
+    and, while tracing, as a ["blocked"] span, which is where lock
+    contention (e.g. on the Linux page-cache [tree_lock]) shows up. *)
 
 (** Condition-variable-style wait queue. *)
 module Waitq : sig
@@ -25,7 +25,7 @@ module Waitq : sig
   (** [waiting q] is the number of parked fibers. *)
 end
 
-(** FIFO mutex with contention accounting.
+(** FIFO mutex.
 
     [acquire_cost] models the uncontended hardware cost of the lock
     operation (an atomic RMW plus cache-line transfer) and is charged on
@@ -47,18 +47,12 @@ module Mutex : sig
 
   val with_lock : ?cat:Engine.category -> t -> (unit -> 'a) -> 'a
 
-  val acquisitions : t -> int
-  (** Total number of [lock] calls. *)
-
-  val contended_cycles : t -> int64
-  (** Total cycles fibers spent blocked waiting for this mutex. *)
-
   val name : t -> string
 end
 
 (** Counted resource with FIFO admission — models device channels or queue
-    slots.  A fiber [use]s the resource for a given service time during
-    which one unit of capacity is held. *)
+    slots: a fiber holds one unit of capacity between {!acquire} and
+    {!release}. *)
 module Resource : sig
   type t
 
@@ -68,17 +62,7 @@ module Resource : sig
   (** [acquire r] takes one capacity unit, blocking FIFO when exhausted. *)
 
   val release : t -> unit
-
-  val use : t -> service:int64 -> unit
-  (** [use r ~service] acquires, waits [service] cycles of device time
-      (charged as idle to the calling fiber), and releases. *)
-
   val in_use : t -> int
-  val queued_cycles : t -> int64
-  (** Total cycles spent queueing for admission (device queueing delay). *)
-
-  val completed : t -> int
-  (** Number of completed [use] operations. *)
 end
 
 (** Write-once synchronization cell (future/promise). *)

@@ -4,6 +4,7 @@
 let psz = Hw.Defs.page_size
 let c = Hw.Costs.default
 let checki = Alcotest.(check int)
+let check64 = Alcotest.(check int64)
 
 (* ---- Vma ---- *)
 
@@ -97,19 +98,30 @@ let vma_lookup_vs_fresh =
 
 (* ---- Syscalls ---- *)
 
-let syscall_counters () =
+(* The path each call took is its cost label; its name is a trace
+   instant. *)
+let syscall_paths () =
   let eng = Sim.Engine.create () in
-  let s = Aquila.Syscalls.create () in
-  ignore
-    (Sim.Engine.spawn eng (fun () ->
-         Aquila.Syscalls.intercepted s c "mmap";
-         Aquila.Syscalls.intercepted s c "msync";
-         Aquila.Syscalls.forwarded s c Hw.Domain_x.Nonroot_ring0 "open"));
+  let tr = Trace.start () in
+  let ctx =
+    Sim.Engine.spawn eng (fun () ->
+        Aquila.Syscalls.intercepted "mmap";
+        Aquila.Syscalls.intercepted "msync";
+        Aquila.Syscalls.forwarded c Hw.Domain_x.Nonroot_ring0 "open")
+  in
   Sim.Engine.run eng;
-  checki "intercepted" 2 (Aquila.Syscalls.intercepted_count s);
-  checki "forwarded" 1 (Aquila.Syscalls.forwarded_count s);
-  Alcotest.(check bool) "by name" true
-    (List.mem ("mmap", 1) (Aquila.Syscalls.by_name s));
+  ignore (Trace.stop ());
+  check64 "two 80-cycle dispatches" 160L
+    (Sim.Engine.label_get ctx "syscall_dispatch");
+  check64 "one vmcall forward"
+    (Hw.Domain_x.syscall_cost c Hw.Domain_x.Nonroot_ring0)
+    (Sim.Engine.label_get ctx "syscall_forward");
+  Alcotest.(check (list string))
+    "by name" [ "mmap"; "msync"; "open" ]
+    (List.filter_map
+       (fun (e : Trace.event) ->
+         if e.ev_cat = "syscall" then Some e.ev_name else None)
+       (Trace.events tr));
   (* intercepted calls avoid the vmcall: the clock advanced by far less
      than one vmcall per intercepted call *)
   Alcotest.(check bool) "interception cheap" true
@@ -240,10 +252,10 @@ let madvise_controls_readahead () =
          Aquila.Context.enter_thread r.ctx;
          let region = Aquila.Context.mmap r.ctx r.file ~npages:100 () in
          let cache = Aquila.Context.cache r.ctx in
-         Aquila.Context.madvise r.ctx region Aquila.Vma.Random;
+         Aquila.Context.madvise region Aquila.Vma.Random;
          Aquila.Context.touch r.ctx region ~page:0 ~write:false;
          checki "random: one page" 1 (Mcache.Dram_cache.read_pages cache);
-         Aquila.Context.madvise r.ctx region Aquila.Vma.Sequential;
+         Aquila.Context.madvise region Aquila.Vma.Sequential;
          Aquila.Context.touch r.ctx region ~page:50 ~write:false;
          Alcotest.(check bool) "sequential: window fetched" true
            (Mcache.Dram_cache.read_pages cache > 16)))
@@ -276,8 +288,11 @@ let resize_cache_via_hypervisor () =
          checki "grown" 64 (Mcache.Dram_cache.frames_total (Aquila.Context.cache r.ctx));
          Aquila.Context.resize_cache r.ctx ~frames:16;
          checki "shrunk" 16 (Mcache.Dram_cache.frames_total (Aquila.Context.cache r.ctx));
-         checki "resizes went through the host" 2
-           (Aquila.Syscalls.forwarded_count (Aquila.Context.syscalls r.ctx))))
+         check64 "resizes went through the host"
+           (Int64.mul 2L
+              (Hw.Domain_x.syscall_cost (Aquila.Context.costs r.ctx)
+                 Hw.Domain_x.Nonroot_ring0))
+           (Sim.Engine.label_get (Sim.Engine.self ()) "syscall_forward")))
 
 let ept_faults_charged_lazily () =
   let r = make_rig ~frames:32 () in
@@ -661,7 +676,7 @@ let () =
           Alcotest.test_case "remove" `Quick vma_remove;
           QCheck_alcotest.to_alcotest vma_lookup_vs_fresh;
         ] );
-      ("syscalls", [ Alcotest.test_case "interception" `Quick syscall_counters ]);
+      ("syscalls", [ Alcotest.test_case "interception" `Quick syscall_paths ]);
       ( "context",
         [
           Alcotest.test_case "integrity across evictions" `Quick rw_roundtrip_across_evictions;

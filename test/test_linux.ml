@@ -80,19 +80,23 @@ let tree_lock_contends () =
          Linux_sim.Mmap_sys.enter_thread r.msys;
          region := Some (Linux_sim.Mmap_sys.mmap r.msys r.file ~npages:2048 ())));
   Sim.Engine.run eng;
-  for t = 0 to 7 do
-    ignore
-      (Sim.Engine.spawn eng ~core:t (fun () ->
-           Linux_sim.Mmap_sys.enter_thread r.msys;
-           for i = 0 to 127 do
-             Linux_sim.Mmap_sys.touch r.msys (Option.get !region)
-               ~page:((t * 128) + i) ~write:false
-           done))
-  done;
+  let tr = Trace.start () in
+  let fids =
+    List.init 8 (fun t ->
+        (Sim.Engine.spawn eng ~core:t (fun () ->
+             Linux_sim.Mmap_sys.enter_thread r.msys;
+             for i = 0 to 127 do
+               Linux_sim.Mmap_sys.touch r.msys (Option.get !region)
+                 ~page:((t * 128) + i) ~write:false
+             done))
+          .Sim.Engine.fid)
+  in
   Sim.Engine.run eng;
+  ignore (Trace.stop ());
   Alcotest.(check bool) "tree_lock contention recorded" true
-    (Linux_sim.Page_cache.tree_lock_contended (Linux_sim.Mmap_sys.page_cache r.msys)
-    > 0L)
+    (List.exists
+       (fun (e : Trace.event) -> e.ev_name = "blocked" && List.mem e.ev_fiber fids)
+       (Trace.events tr))
 
 let msync_cleans () =
   let r = make_rig () in
@@ -103,15 +107,17 @@ let msync_cleans () =
          Linux_sim.Mmap_sys.write r.msys region ~off:0 ~src:(Bytes.make 16 'd');
          let pc = Linux_sim.Mmap_sys.page_cache r.msys in
          Alcotest.(check bool) "dirty" true (Linux_sim.Page_cache.dirty_pages pc > 0);
+         let wb0 = Metrics.Registry.value "linux_cache_wb_ios" in
          Linux_sim.Mmap_sys.msync r.msys region;
          checki "clean" 0 (Linux_sim.Page_cache.dirty_pages pc);
          Alcotest.(check bool) "written" true
-           (Linux_sim.Page_cache.writeback_ios pc > 0)))
+           (Metrics.Registry.value "linux_cache_wb_ios" > wb0)))
 
 let background_flusher_cleans () =
   let r = make_rig ~frames:128 ~file_pages:256 () in
   let eng = Sim.Engine.create () in
   let pc = Linux_sim.Mmap_sys.page_cache r.msys in
+  let wb0 = Metrics.Registry.value "linux_cache_wb_ios" in
   Linux_sim.Page_cache.spawn_flusher pc ~eng ~hi:16 ~lo:4 ~core:1 ();
   ignore
     (Sim.Engine.spawn eng ~core:0 (fun () ->
@@ -128,7 +134,7 @@ let background_flusher_cleans () =
     true
     (Linux_sim.Page_cache.dirty_pages pc <= 4);
   Alcotest.(check bool) "writebacks happened" true
-    (Linux_sim.Page_cache.writeback_ios pc > 0);
+    (Metrics.Registry.value "linux_cache_wb_ios" > wb0);
   Linux_sim.Page_cache.stop_flusher pc;
   Sim.Engine.run eng
 
