@@ -97,6 +97,7 @@ let create ~costs ~machine ~page_table cfg =
   if cfg.frames <= 0 || cfg.max_frames < cfg.frames then
     invalid_arg "Dram_cache.create: bad frame counts";
   let topo = Hw.Machine.topology machine in
+  let labels = [ ("policy", Policy.kind_to_string cfg.policy) ] in
   let t =
     {
       costs;
@@ -150,37 +151,29 @@ let create ~costs ~machine ~page_table cfg =
       wb_fail_streak = 0;
       read_only = false;
       m_hits =
-        (let labels = [ ("policy", Policy.kind_to_string cfg.policy) ] in
-         Metrics.Registry.counter ~help:"DRAM cache fault hits" ~labels
-           "mcache_hits");
+        Metrics.Registry.counter ~help:"DRAM cache fault hits" ~labels
+          "mcache_hits";
       m_misses =
-        (let labels = [ ("policy", Policy.kind_to_string cfg.policy) ] in
-         Metrics.Registry.counter ~help:"DRAM cache misses" ~labels
-           "mcache_misses");
+        Metrics.Registry.counter ~help:"DRAM cache misses" ~labels
+          "mcache_misses";
       m_evictions =
-        (let labels = [ ("policy", Policy.kind_to_string cfg.policy) ] in
-         Metrics.Registry.counter ~help:"frames recycled by eviction" ~labels
-           "mcache_evictions");
+        Metrics.Registry.counter ~help:"frames recycled by eviction" ~labels
+          "mcache_evictions";
       m_wb_ios =
-        (let labels = [ ("policy", Policy.kind_to_string cfg.policy) ] in
-         Metrics.Registry.counter ~help:"write-back I/Os issued" ~labels
-           "mcache_wb_ios");
+        Metrics.Registry.counter ~help:"write-back I/Os issued" ~labels
+          "mcache_wb_ios";
       m_wb_pages =
-        (let labels = [ ("policy", Policy.kind_to_string cfg.policy) ] in
-         Metrics.Registry.counter ~help:"dirty pages written back" ~labels
-           "mcache_wb_pages");
+        Metrics.Registry.counter ~help:"dirty pages written back" ~labels
+          "mcache_wb_pages";
       m_wb_errors =
-        (let labels = [ ("policy", Policy.kind_to_string cfg.policy) ] in
-         Metrics.Registry.counter ~help:"write-back I/O failures" ~labels
-           "mcache_wb_errors");
+        Metrics.Registry.counter ~help:"write-back I/O failures" ~labels
+          "mcache_wb_errors";
       m_sigbus =
-        (let labels = [ ("policy", Policy.kind_to_string cfg.policy) ] in
-         Metrics.Registry.counter ~help:"faults surfaced as SIGBUS" ~labels
-           "mcache_sigbus");
+        Metrics.Registry.counter ~help:"faults surfaced as SIGBUS" ~labels
+          "mcache_sigbus";
       m_degraded =
-        (let labels = [ ("policy", Policy.kind_to_string cfg.policy) ] in
-         Metrics.Registry.counter ~help:"transitions into read-only degraded mode"
-           ~labels "mcache_degraded_transitions");
+        Metrics.Registry.counter ~help:"transitions into read-only degraded mode"
+          ~labels "mcache_degraded_transitions";
     }
   in
   let nodes = topo.Hw.Topology.nodes in
