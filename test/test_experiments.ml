@@ -79,6 +79,53 @@ let microbench_counts_faults () =
   checki "permutation touches each page once" 256 r.Experiments.Microbench.ops;
   checki "every access faulted" 256 r.Experiments.Microbench.faults
 
+(* The counters DESIGN.md §8 keeps per instance beside a registry family
+   count the same events: one microbenchmark run per stack, from a reset
+   registry, out of memory and with stores so that hits, evictions and
+   write-back all happen.  test_fault holds the error pairs at nonzero
+   counts. *)
+let per_instance_counts_match_registry () =
+  let run sys =
+    Metrics.Registry.reset ();
+    let eng = Sim.Engine.create () in
+    ignore
+      (Experiments.Microbench.run ~eng ~sys ~file_pages:1024 ~shared:true
+         ~threads:4 ~ops_per_thread:400 ~write_fraction:0.3 ());
+    checki "engine_events" (Sim.Engine.events eng)
+      (Metrics.Registry.value "engine_events")
+  in
+  let same =
+    List.iter (fun (family, n) -> checki family n (Metrics.Registry.value family))
+  in
+  let aq =
+    Experiments.Scenario.make_aquila ~frames:256 ~dev:Experiments.Scenario.Nvme ()
+  in
+  run (Experiments.Microbench.Aq aq);
+  let ctx = aq.Experiments.Scenario.a_ctx in
+  let cache = Aquila.Context.cache ctx in
+  same
+    Mcache.Dram_cache.
+      [
+        ("mcache_hits", fault_hits cache);
+        ("mcache_misses", misses cache);
+        ("mcache_evictions", evictions cache);
+        ("mcache_wb_ios", writeback_ios cache);
+        ("mcache_wb_pages", writeback_pages cache);
+        ("mcache_wb_errors", wb_errors cache);
+        ("mcache_sigbus", sigbus_count cache);
+        ("aquila_page_faults", Aquila.Context.faults ctx);
+      ];
+  let lx =
+    Experiments.Scenario.make_linux ~frames:256 ~dev:Experiments.Scenario.Nvme ()
+  in
+  run (Experiments.Microbench.Lx lx);
+  same
+    [
+      ( "linux_cache_evictions",
+        Linux_sim.Page_cache.evictions
+          (Linux_sim.Mmap_sys.page_cache lx.Experiments.Scenario.l_msys) );
+    ]
+
 let fig8c_access_method_ordering () =
   (* Cheap re-check of the Figure 8(c) ordering with a tiny run. *)
   let cost access =
@@ -215,6 +262,8 @@ let () =
           Alcotest.test_case "scalability gap grows" `Slow
             microbench_scales_better_shared;
           Alcotest.test_case "fault accounting" `Quick microbench_counts_faults;
+          Alcotest.test_case "per-instance counts match the registry" `Quick
+            per_instance_counts_match_registry;
         ] );
       ( "figures",
         [

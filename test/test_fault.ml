@@ -229,6 +229,7 @@ let make_cache_rig () =
 let key p = Mcache.Pagekey.make ~file:1 ~page:p
 
 let sigbus_on_unreadable_page () =
+  Metrics.Registry.reset ();
   let spec =
     { Fault.Plan.default with Fault.Plan.read_error = 1.0; permanent = 1.0 }
   in
@@ -248,11 +249,13 @@ let sigbus_on_unreadable_page () =
       Sim.Engine.run eng;
       Alcotest.(check bool) "sigbus delivered with file/page" true !got);
   checki "cache counted it" 1 (Mcache.Dram_cache.sigbus_count (Option.get !cache));
+  checki "registry agrees" 1 (Metrics.Registry.value "mcache_sigbus");
   checki "plan counted it" 1 (Fault.Plan.sigbus_count plan)
 
 (* ---- Degradation to read-only ---- *)
 
 let degrade_to_read_only_after_error_storm () =
+  Metrics.Registry.reset ();
   let spec = { Fault.Plan.default with Fault.Plan.write_error = 1.0 } in
   let plan = Fault.Plan.make spec in
   let cache = ref None in
@@ -283,6 +286,8 @@ let degrade_to_read_only_after_error_storm () =
   let ca = Option.get !cache in
   Alcotest.(check bool) "write-back errors counted" true
     (Mcache.Dram_cache.wb_errors ca >= 8);
+  checki "registry agrees" (Mcache.Dram_cache.wb_errors ca)
+    (Metrics.Registry.value "mcache_wb_errors");
   Alcotest.(check bool) "plan write errors counted" true
     (Fault.Plan.write_errors plan >= 8);
   (* a reboot clears the degradation along with the volatile state *)
