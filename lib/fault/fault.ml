@@ -182,11 +182,6 @@ let m_injected_key : Metrics.Registry.cell Domain.DLS.key =
         ~help:"faults injected (I/O errors, torn writes, latency spikes)"
         "fault_injected")
 
-let m_retries_key : Metrics.Registry.cell Domain.DLS.key =
-  Domain.DLS.new_key (fun () ->
-      Metrics.Registry.counter ~help:"I/O retries caused by injected faults"
-        "fault_retries")
-
 let m_crashes_key : Metrics.Registry.cell Domain.DLS.key =
   Domain.DLS.new_key (fun () ->
       Metrics.Registry.counter ~help:"injected crashes fired" "fault_crashes")
@@ -316,7 +311,5 @@ let draw_spike (p : Plan.t) =
   end
   else 1
 
-let note_retry (p : Plan.t) =
-  p.Plan.n_retries <- p.Plan.n_retries + 1;
-  Metrics.Registry.incr (Domain.DLS.get m_retries_key)
+let note_retry (p : Plan.t) = p.Plan.n_retries <- p.Plan.n_retries + 1
 let note_sigbus (p : Plan.t) = p.Plan.n_sigbus <- p.Plan.n_sigbus + 1

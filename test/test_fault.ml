@@ -112,6 +112,7 @@ let crash_at_exact_event () =
 (* ---- Access-layer retry policy ---- *)
 
 let retry_exhaustion_and_backoff () =
+  Metrics.Registry.reset ();
   let spec = { Fault.Plan.default with Fault.Plan.read_error = 1.0 } in
   let plan = Fault.Plan.make spec in
   let final = ref 0L in
@@ -132,6 +133,7 @@ let retry_exhaustion_and_backoff () =
       Alcotest.(check bool) "transient read error surfaced" true !raised;
       final := Sim.Engine.now eng);
   checki "4 retries before giving up" 4 (Fault.Plan.retries plan);
+  checki "registry agrees" 4 (Metrics.Registry.value "sdevice_io_retries");
   (* exponential virtual-time backoff: 20k + 40k + 80k + 160k cycles *)
   Alcotest.(check bool)
     (Printf.sprintf "backoff advanced virtual time (%Ld)" !final)
