@@ -203,13 +203,17 @@ let evict_batch_sweep () =
        ~threads:16 ~ops_per_thread:2500 ~write_fraction:0.3 ())
       .Microbench.throughput_ops_s
   in
+  let ceiling = Hw.Ipi.full_flush_above in
   let rows =
     List.map
       (fun b -> [ string_of_int b; Stats.Table_fmt.ops_per_sec (run b) ])
-      [ 1; 8; 32; 128; 512 ]
+      [ 1; 8; 32; ceiling; ceiling + 1; 64; 128; 512 ]
   in
   Stats.Table_fmt.print_table
     ~title:
-      "Sweep: eviction/shootdown batch size (cache 2048 frames; too-large \
-       batches degrade victim quality, too-small ones lose amortization)"
+      (Printf.sprintf
+         "Sweep: eviction/shootdown batch size (cache 2048 frames; batches \
+          up to the %d-page full-flush ceiling pay one invlpg per page on \
+          every core, too-large ones degrade victim quality)"
+         ceiling)
     ~header:[ "batch"; "throughput" ] rows
