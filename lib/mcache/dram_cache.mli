@@ -41,9 +41,10 @@ type config = {
 
 val default_config : frames:int -> config
 (** Paper-flavoured defaults scaled to the simulation (see DESIGN.md §2):
-    eviction batch = frames/64 (min 16), core queues 512, move batch 256,
-    merge 64, vmexit-send IPIs, no readahead, write-protect on, CLOCK
-    replacement. *)
+    eviction batch = frames/64, but at least {!Hw.Ipi.full_flush_above} +
+    1 so that every batch is one full TLB flush per core, as in the
+    paper; core queues 512, move batch 256, merge 64, vmexit-send IPIs,
+    no readahead, write-protect on, CLOCK replacement. *)
 
 type t
 

@@ -908,6 +908,25 @@ let degraded_eviction_skips_dirty_under_every_policy () =
                 (Mcache.Dram_cache.evictions cache > 0))))
     Mcache.Policy.all_kinds
 
+(* ---- Scaling regime (DESIGN.md §2) ---- *)
+
+(* The paper's 512-page eviction batch is past Linux's 33-page
+   single-page flush ceiling, so each batch is one full TLB flush per
+   core.  Every cache size keeps that regime: its batch is past the
+   ceiling, and it is the smallest such batch wherever a 64th of the
+   cache is not. *)
+let evict_batch_in_full_flush_regime () =
+  let ceiling = Hw.Ipi.full_flush_above in
+  checki "Linux's tlb_single_page_flush_ceiling" 33 ceiling;
+  for frames = 1 to 65_536 do
+    let batch = (Mcache.Dram_cache.default_config ~frames).evict_batch in
+    if batch <= ceiling then
+      Alcotest.failf "%d frames: batch %d is not past the ceiling" frames batch;
+    if frames / 64 <= ceiling && batch <> ceiling + 1 then
+      Alcotest.failf "%d frames: batch %d, not the regime's smallest %d" frames
+        batch (ceiling + 1)
+  done
+
 let unregistered_file_rejected () =
   let r = make_rig () in
   Alcotest.check_raises "unknown file" (Invalid_argument "Dram_cache: unregistered file 9")
@@ -957,6 +976,8 @@ let () =
           Alcotest.test_case "msync on clean cache" `Quick msync_clean_cache_is_free;
           QCheck_alcotest.to_alcotest crash_keeps_exactly_synced;
           Alcotest.test_case "unregistered file" `Quick unregistered_file_rejected;
+          Alcotest.test_case "eviction batch in the full-flush regime" `Quick
+            evict_batch_in_full_flush_regime;
         ] );
       ( "policy",
         [
