@@ -1,15 +1,11 @@
 let psz = Defs.page_size
-let no_frame = -1
+let no_frame = Page_table.no_frame
 
 let access m (c : Costs.t) pt ~core ~vpn ~write buf =
   Sim.Costbuf.add buf "irq" (Machine.drain_irq m ~core);
   Sim.Costbuf.add buf "tlb_walk"
     (Tlb.access (Machine.core m core).Machine.tlb c ~vpn);
-  match Page_table.find pt ~vpn with
-  | Some pte when (not write) || pte.Page_table.writable ->
-      if write then pte.Page_table.dirty <- true;
-      pte.Page_table.pfn
-  | _ -> no_frame
+  Page_table.walk pt ~vpn ~write
 
 let copy ~touch ~frame s r ~write ~off ~len b =
   let buf = Sim.Costbuf.create () in

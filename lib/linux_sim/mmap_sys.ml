@@ -91,11 +91,10 @@ let munmap t region =
   let vpns = ref [] in
   for p = 0 to region.r_area.npages - 1 do
     let vpn = region.r_area.vstart + p in
-    match Hw.Page_table.unmap t.pt ~vpn with
-    | Some _ ->
-        delay_sys ~label:"munmap" t.lcosts.Hw.Costs.pte_update;
-        vpns := vpn :: !vpns
-    | None -> ()
+    if Hw.Page_table.unmap t.pt ~vpn <> Hw.Page_table.no_frame then begin
+      delay_sys ~label:"munmap" t.lcosts.Hw.Costs.pte_update;
+      vpns := vpn :: !vpns
+    end
   done;
   if !vpns <> [] then
     delay_sys ~label:"tlb"
@@ -142,11 +141,13 @@ let rec touch_page ?(attempt = 0) t region ~page ~write buf =
       Sim.Probe.span_since ~cat:"linux"
         ~value:(if write then 1L else 0L)
         ~t0:ft0 "fault";
-      (match Hw.Page_table.find t.pt ~vpn with
-      | Some pte ->
-          if write then pte.Hw.Page_table.dirty <- true;
-          pte.Hw.Page_table.pfn
-      | None -> touch_page ~attempt:(attempt + 1) t region ~page ~write buf)
+      let pfn = Hw.Page_table.pfn t.pt ~vpn in
+      if pfn = Hw.Page_table.no_frame then
+        touch_page ~attempt:(attempt + 1) t region ~page ~write buf
+      else begin
+        if write then Hw.Page_table.set_dirty t.pt ~vpn;
+        pfn
+      end
 
 let touch t region ~page ~write =
   let buf = Sim.Costbuf.create () in

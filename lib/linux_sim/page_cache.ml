@@ -41,7 +41,6 @@ type t = {
   mutable flusher : (int * int) option; (* (hi, lo) watermarks *)
   mutable shoot_cores : int list;
   mutable s_evictions : int;
-  mutable s_read_ios : int;
   m_hits : Metrics.Registry.cell;
   m_misses : Metrics.Registry.cell;
   m_evictions : Metrics.Registry.cell;
@@ -71,7 +70,6 @@ let create ~costs ~machine ~page_table cfg =
       flusher = None;
       shoot_cores = [];
       s_evictions = 0;
-      s_read_ios = 0;
       m_hits =
         Metrics.Registry.counter ~help:"Linux page-cache hits"
           "linux_cache_hits";
@@ -162,8 +160,7 @@ let clean_pairs t ~core pairs =
     List.filter_map
       (fun (_, (fr : frame)) ->
         if fr.vpn >= 0 then begin
-          (try Hw.Page_table.set_writable t.pt ~vpn:fr.vpn false
-           with Not_found -> ());
+          Hw.Page_table.set_writable t.pt ~vpn:fr.vpn false;
           delay_sys ~label:"map" t.costs.Hw.Costs.pte_update;
           Some fr.vpn
         end
@@ -365,7 +362,6 @@ let fill t ~core ~key =
           List.iteri
             (fun i (_, _, (fr : frame)) -> Bytes.blit scratch (i * psz) fr.data 0 psz)
             window));
-  t.s_read_ios <- t.s_read_ios + 1;
   (* Insert each page under the tree_lock (add_to_page_cache). *)
   List.iter
     (fun (k, _, (fr : frame)) ->
@@ -586,6 +582,5 @@ let stop_flusher t =
   ignore (Sim.Sync.Waitq.signal t.flusher_waitq)
 
 let evictions t = t.s_evictions
-let read_ios t = t.s_read_ios
 
 let dirty_pages t = total_dirty t

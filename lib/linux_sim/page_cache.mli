@@ -79,5 +79,4 @@ val evictions : t -> int
 (** Frames reclaimed, also counted in [linux_cache_evictions]; kept per
     cache because a registry series sums every cache of a domain. *)
 
-val read_ios : t -> int
 val dirty_pages : t -> int

@@ -612,8 +612,7 @@ let clean t ~core ?file ?limit () =
         List.filter_map
           (fun (fr : frame) ->
             if fr.vpn >= 0 then begin
-              (try Hw.Page_table.set_writable t.pt ~vpn:fr.vpn false
-               with Not_found -> ());
+              Hw.Page_table.set_writable t.pt ~vpn:fr.vpn false;
               Sim.Costbuf.add buf "writeback" c.pte_update;
               Some fr.vpn
             end

@@ -6,7 +6,6 @@ type t = {
   core_queue_limit : int;
   move_batch : int;
   mutable count : int;
-  mutable nrefills : int;
 }
 
 let create costs topo ?(core_queue_limit = 512) ?(move_batch = 256) () =
@@ -18,7 +17,6 @@ let create costs topo ?(core_queue_limit = 512) ?(move_batch = 256) () =
     core_queue_limit;
     move_batch;
     count = 0;
-    nrefills = 0;
   }
 
 let add_frame t ~node f =
@@ -31,7 +29,6 @@ let move_batch_to_core t node core =
   for _ = 1 to n do
     Queue.add (Queue.pop nq) cq
   done;
-  if n > 0 then t.nrefills <- t.nrefills + 1;
   n
 
 let alloc t ~core =
@@ -91,4 +88,3 @@ let steal_any t =
   r
 
 let free_count t = t.count
-let refills t = t.nrefills

@@ -37,5 +37,3 @@ val steal_any : t -> int option
     cache); no cost model, administrative path only. *)
 
 val free_count : t -> int
-val refills : t -> int
-(** Number of batched level-1→level-2 refills performed. *)

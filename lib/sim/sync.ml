@@ -18,8 +18,6 @@ module Waitq = struct
       ignore (signal t)
     done;
     n
-
-  let waiting t = Queue.length t.waiters
 end
 
 module Mutex = struct
@@ -55,8 +53,6 @@ module Mutex = struct
     | exception e ->
         unlock t;
         raise e
-
-  let name t = t.mname
 end
 
 module Resource = struct

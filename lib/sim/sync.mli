@@ -20,9 +20,6 @@ module Waitq : sig
 
   val broadcast : t -> int
   (** [broadcast q] wakes all waiting fibers, returning how many. *)
-
-  val waiting : t -> int
-  (** [waiting q] is the number of parked fibers. *)
 end
 
 (** FIFO mutex.
@@ -46,8 +43,6 @@ module Mutex : sig
       any.  Raises [Invalid_argument] if [m] is not locked. *)
 
   val with_lock : ?cat:Engine.category -> t -> (unit -> 'a) -> 'a
-
-  val name : t -> string
 end
 
 (** Counted resource with FIFO admission — models device channels or queue

@@ -28,22 +28,41 @@ let radix_floor () =
   Alcotest.(check (option int)) "between" (Some 64) (floor 999);
   Alcotest.(check (option int)) "above all" (Some 4096) (floor 100000)
 
+(* Inserts and removes (a negative entry removes its absolute value) on
+   keys that make the tree grow; after each, [length] and a probe's
+   find/floor agree with the map, and at the end so does the traversal. *)
 let radix_model =
   QCheck.Test.make ~name:"radix matches Map (find/floor/iter)" ~count:200
-    QCheck.(pair (list (int_bound 5000)) (int_bound 6000))
-    (fun (keys, probe) ->
+    QCheck.(pair (list (int_range (-5000) 5000)) (int_bound 6000))
+    (fun (ops, probe) ->
       let t = Dstruct.Radix_tree.create () in
       let m = ref Imap.empty in
-      List.iter
+      let agrees () =
+        let model_floor = Imap.find_last_opt (fun k -> k <= probe) !m in
+        Dstruct.Radix_tree.length t = Imap.cardinal !m
+        && Dstruct.Radix_tree.find_floor t probe = model_floor
+        && Dstruct.Radix_tree.find t probe = Imap.find_opt probe !m
+        && Dstruct.Radix_tree.mem t probe = Imap.mem probe !m
+      in
+      List.for_all
         (fun k ->
-          ignore (Dstruct.Radix_tree.insert t k (k + 1));
-          m := Imap.add k (k + 1) !m)
-        keys;
-      let model_floor = Imap.fold (fun k v acc -> if k <= probe then Some (k, v) else acc) !m None in
-      Dstruct.Radix_tree.find_floor t probe = model_floor
+          (if k >= 0 then begin
+             let old = Dstruct.Radix_tree.insert t k (k + 1) in
+             let want = Imap.find_opt k !m in
+             m := Imap.add k (k + 1) !m;
+             old = want
+           end
+           else begin
+             let k = -k in
+             let old = Dstruct.Radix_tree.remove t k in
+             let want = Imap.find_opt k !m in
+             m := Imap.remove k !m;
+             old = want
+           end)
+          && agrees ())
+        ops
       && Dstruct.Radix_tree.fold (fun k v acc -> (k, v) :: acc) t [] |> List.rev
-         = Imap.bindings !m
-      && Dstruct.Radix_tree.find t probe = Imap.find_opt probe !m)
+         = Imap.bindings !m)
 
 (* ---- Clock LRU ---- *)
 

@@ -64,11 +64,17 @@ let freelist_refills_batched () =
   for i = 0 to 31 do
     Mcache.Freelist.add_frame fl ~node:0 i
   done;
-  for _ = 0 to 15 do
-    ignore (Mcache.Freelist.alloc fl ~core:0)
-  done;
-  (* 16 allocs at batch 8 -> only 2 refills *)
-  checki "batched refills" 2 (Mcache.Freelist.refills fl)
+  let op = c.Hw.Costs.freelist_op in
+  (* 16 allocs at batch 8 -> only 2 refills, each one queue transfer (two
+     more freelist ops) on the alloc that finds the core's queue empty *)
+  for i = 0 to 15 do
+    let frame, cost = Mcache.Freelist.alloc fl ~core:0 in
+    Alcotest.(check bool) "got a frame" true (frame <> None);
+    Alcotest.(check int64)
+      (Printf.sprintf "alloc %d cost" i)
+      (if i mod 8 = 0 then Int64.mul 3L op else op)
+      cost
+  done
 
 (* ---- Dirty set ---- *)
 
@@ -267,6 +273,12 @@ let make_rig ?(frames = 32) ?tweak ?(file_pages = 256) () =
   Mcache.Dram_cache.set_shoot_cores cache [ 0; 1 ];
   { cache; pt; pmem }
 
+(* The frame [vpn] maps; fails the test if it maps none. *)
+let mapped_pfn pt ~vpn =
+  let pfn = Hw.Page_table.pfn pt ~vpn in
+  if pfn = Hw.Page_table.no_frame then Alcotest.failf "vpn %d unmapped" vpn;
+  pfn
+
 let in_sim f =
   let eng = Sim.Engine.create () in
   ignore (Sim.Engine.spawn eng ~core:0 f);
@@ -282,9 +294,9 @@ let fault_miss_then_hit () =
       Alcotest.(check bool) "resident" true
         (Mcache.Dram_cache.is_resident r.cache ~key:(key 5));
       (* the PTE is installed read-only *)
-      (match Hw.Page_table.find r.pt ~vpn:100 with
-      | Some pte -> Alcotest.(check bool) "read-only" false pte.Hw.Page_table.writable
-      | None -> Alcotest.fail "pte missing");
+      Alcotest.(check bool) "pte present" true
+        (Hw.Page_table.pfn r.pt ~vpn:100 <> Hw.Page_table.no_frame);
+      Alcotest.(check bool) "read-only" false (Hw.Page_table.writable r.pt ~vpn:100);
       (* a second fault (e.g. after remap) is a fault-hit: no new I/O *)
       Mcache.Dram_cache.fault r.cache ~core:0 ~key:(key 5) ~vpn:101 ~write:false ();
       checki "still one miss" 1 (Mcache.Dram_cache.misses r.cache);
@@ -296,16 +308,14 @@ let write_fault_marks_dirty () =
   in_sim (fun () ->
       Mcache.Dram_cache.fault r.cache ~core:0 ~key:(key 3) ~vpn:50 ~write:true ();
       checki "dirty tracked" 1 (Mcache.Dram_cache.dirty_pages r.cache);
-      (match Hw.Page_table.find r.pt ~vpn:50 with
-      | Some pte -> Alcotest.(check bool) "writable" true pte.Hw.Page_table.writable
-      | None -> Alcotest.fail "pte missing");
+      Alcotest.(check bool) "writable" true (Hw.Page_table.writable r.pt ~vpn:50);
       (* msync cleans and write-protects *)
       Mcache.Dram_cache.msync r.cache ~core:0 ();
       checki "cleaned" 0 (Mcache.Dram_cache.dirty_pages r.cache);
       checki "one writeback io" 1 (Mcache.Dram_cache.writeback_ios r.cache);
-      match Hw.Page_table.find r.pt ~vpn:50 with
-      | Some pte -> Alcotest.(check bool) "write-protected" false pte.Hw.Page_table.writable
-      | None -> Alcotest.fail "pte missing after msync")
+      Alcotest.(check bool) "pte present after msync" true
+        (Hw.Page_table.pfn r.pt ~vpn:50 <> Hw.Page_table.no_frame);
+      Alcotest.(check bool) "write-protected" false (Hw.Page_table.writable r.pt ~vpn:50))
 
 let data_survives_eviction () =
   (* Write distinctive bytes to many pages through the cache; with only 16
@@ -315,8 +325,8 @@ let data_survives_eviction () =
       for p = 0 to 63 do
         Mcache.Dram_cache.fault r.cache ~core:0 ~key:(key p) ~vpn:(1000 + p)
           ~write:true ();
-        let pte = Option.get (Hw.Page_table.find r.pt ~vpn:(1000 + p)) in
-        let data = Mcache.Dram_cache.pfn_data r.cache pte.Hw.Page_table.pfn in
+        let pfn = mapped_pfn r.pt ~vpn:(1000 + p) in
+        let data = Mcache.Dram_cache.pfn_data r.cache pfn in
         Bytes.fill data 0 psz (Char.chr (65 + (p mod 26)))
       done;
       Alcotest.(check bool) "evictions happened" true
@@ -325,8 +335,8 @@ let data_survives_eviction () =
       for p = 0 to 63 do
         Mcache.Dram_cache.fault r.cache ~core:0 ~key:(key p) ~vpn:(2000 + p)
           ~write:false ();
-        let pte = Option.get (Hw.Page_table.find r.pt ~vpn:(2000 + p)) in
-        let data = Mcache.Dram_cache.pfn_data r.cache pte.Hw.Page_table.pfn in
+        let pfn = mapped_pfn r.pt ~vpn:(2000 + p) in
+        let data = Mcache.Dram_cache.pfn_data r.cache pfn in
         Alcotest.(check char)
           (Printf.sprintf "page %d content" p)
           (Char.chr (65 + (p mod 26)))
@@ -343,7 +353,7 @@ let eviction_unmaps_and_shoots () =
       done;
       (* far more pages touched than frames: early mappings must be gone *)
       Alcotest.(check bool) "early vpn unmapped" true
-        (Hw.Page_table.find r.pt ~vpn:100 = None);
+        (Hw.Page_table.pfn r.pt ~vpn:100 = Hw.Page_table.no_frame);
       Alcotest.(check bool) "mapped <= frames" true (Hw.Page_table.mapped r.pt <= 16);
       Alcotest.(check bool) "batched shootdowns sent" true
         (Hw.Ipi.shootdowns_sent () > sent0))
@@ -482,23 +492,23 @@ let crash_loses_unsynced_data () =
   in_sim (fun () ->
       (* page 1 synced; page 2 dirty-only *)
       Mcache.Dram_cache.fault r.cache ~core:0 ~key:(key 1) ~vpn:901 ~write:true ();
-      let pte = Option.get (Hw.Page_table.find r.pt ~vpn:901) in
-      Bytes.fill (Mcache.Dram_cache.pfn_data r.cache pte.Hw.Page_table.pfn) 0 psz 'S';
+      let pfn = mapped_pfn r.pt ~vpn:901 in
+      Bytes.fill (Mcache.Dram_cache.pfn_data r.cache pfn) 0 psz 'S';
       Mcache.Dram_cache.msync r.cache ~core:0 ();
       Mcache.Dram_cache.fault r.cache ~core:0 ~key:(key 2) ~vpn:902 ~write:true ();
-      let pte2 = Option.get (Hw.Page_table.find r.pt ~vpn:902) in
-      Bytes.fill (Mcache.Dram_cache.pfn_data r.cache pte2.Hw.Page_table.pfn) 0 psz 'L');
+      let pfn2 = mapped_pfn r.pt ~vpn:902 in
+      Bytes.fill (Mcache.Dram_cache.pfn_data r.cache pfn2) 0 psz 'L');
   Mcache.Dram_cache.crash r.cache;
   checki "cache empty" 64 (Mcache.Dram_cache.free_frames r.cache);
   in_sim (fun () ->
       Mcache.Dram_cache.fault r.cache ~core:0 ~key:(key 1) ~vpn:911 ~write:false ();
-      let pte = Option.get (Hw.Page_table.find r.pt ~vpn:911) in
+      let pfn = mapped_pfn r.pt ~vpn:911 in
       Alcotest.(check char) "synced data survived" 'S'
-        (Bytes.get (Mcache.Dram_cache.pfn_data r.cache pte.Hw.Page_table.pfn) 0);
+        (Bytes.get (Mcache.Dram_cache.pfn_data r.cache pfn) 0);
       Mcache.Dram_cache.fault r.cache ~core:0 ~key:(key 2) ~vpn:912 ~write:false ();
-      let pte2 = Option.get (Hw.Page_table.find r.pt ~vpn:912) in
+      let pfn2 = mapped_pfn r.pt ~vpn:912 in
       Alcotest.(check char) "unsynced data lost" '\000'
-        (Bytes.get (Mcache.Dram_cache.pfn_data r.cache pte2.Hw.Page_table.pfn) 0))
+        (Bytes.get (Mcache.Dram_cache.pfn_data r.cache pfn2) 0))
 
 let msync_clean_cache_is_free () =
   (* msync with nothing dirty must not touch the device — no write-back
@@ -555,11 +565,9 @@ let crash_keeps_exactly_synced =
               | C_write (p, ch) ->
                   Mcache.Dram_cache.fault r.cache ~core:0 ~key:(key p)
                     ~vpn:(3000 + p) ~write:true ();
-                  let pte =
-                    Option.get (Hw.Page_table.find r.pt ~vpn:(3000 + p))
-                  in
+                  let pfn = mapped_pfn r.pt ~vpn:(3000 + p) in
                   Bytes.fill
-                    (Mcache.Dram_cache.pfn_data r.cache pte.Hw.Page_table.pfn)
+                    (Mcache.Dram_cache.pfn_data r.cache pfn)
                     0 psz ch;
                   latest.(p) <- ch
               | C_msync ->
@@ -572,10 +580,10 @@ let crash_keeps_exactly_synced =
           for p = 0 to npages - 1 do
             Mcache.Dram_cache.fault r.cache ~core:0 ~key:(key p) ~vpn:(4000 + p)
               ~write:false ();
-            let pte = Option.get (Hw.Page_table.find r.pt ~vpn:(4000 + p)) in
+            let pfn = mapped_pfn r.pt ~vpn:(4000 + p) in
             let got =
               Bytes.get
-                (Mcache.Dram_cache.pfn_data r.cache pte.Hw.Page_table.pfn)
+                (Mcache.Dram_cache.pfn_data r.cache pfn)
                 0
             in
             if got <> synced.(p) then ok := false
